@@ -368,7 +368,7 @@ func BenchmarkAblationRSDeviceSize(b *testing.B) {
 }
 
 // BenchmarkStreamPipelined measures chunk-stream throughput at
-// pipeline depths 1 (the historical sequential path) and GOMAXPROCS,
+// pipeline depths 1 (inline on the calling goroutine) and GOMAXPROCS,
 // on an 8-chunk stream — the speedup of overlapping chunk encodes and
 // verify/repairs across cores. Output bytes are identical at every
 // depth, so this isolates scheduling, not format. Results are recorded

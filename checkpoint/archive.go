@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	arc "repro"
 	"repro/internal/pressio"
@@ -31,9 +30,7 @@ type ArchiveWriter struct {
 
 type archiveField struct {
 	name       string
-	compressor string
-	bound      float64
-	dims       []int
+	meta       fieldMeta
 	compressed []byte
 }
 
@@ -62,9 +59,7 @@ func (aw *ArchiveWriter) Add(name string, data []float64, dims []int, opts Optio
 	}
 	aw.fields = append(aw.fields, archiveField{
 		name:       name,
-		compressor: opts.Compressor,
-		bound:      opts.Bound,
-		dims:       append([]int(nil), dims...),
+		meta:       fieldMeta{opts.Compressor, opts.Bound, append([]int(nil), dims...)},
 		compressed: compressed,
 	})
 	return nil
@@ -83,33 +78,22 @@ func (aw *ArchiveWriter) Fields() []string {
 // and writes it to w. The archive (including all metadata) travels
 // inside the ARC stream.
 func (aw *ArchiveWriter) WriteTo(w io.Writer, a *arc.ARC, mem, bw float64, res arc.Resiliency, chunkBytes int) error {
-	var payload bytes.Buffer
-	payload.WriteString(archiveMagic)
-	payload.WriteByte(archiveVersion)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(aw.fields)))
-	payload.Write(scratch[:4])
+	payload := append([]byte(archiveMagic), archiveVersion)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(aw.fields)))
 	for _, f := range aw.fields {
-		payload.WriteByte(byte(len(f.name)))
-		payload.WriteString(f.name)
-		payload.WriteByte(byte(len(f.compressor)))
-		payload.WriteString(f.compressor)
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(f.bound))
-		payload.Write(scratch[:])
-		payload.WriteByte(byte(len(f.dims)))
-		for _, d := range f.dims {
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(d))
-			payload.Write(scratch[:4])
+		payload = appendStr(payload, f.name)
+		var err error
+		if payload, err = appendMeta(payload, f.meta); err != nil {
+			return err
 		}
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(f.compressed)))
-		payload.Write(scratch[:4])
-		payload.Write(f.compressed)
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(f.compressed)))
+		payload = append(payload, f.compressed...)
 	}
 	pw, err := a.NewWriter(w, mem, bw, res, chunkBytes)
 	if err != nil {
 		return err
 	}
-	if _, err := pw.Write(payload.Bytes()); err != nil {
+	if _, err := pw.Write(payload); err != nil {
 		return err
 	}
 	return pw.Close()
@@ -156,54 +140,28 @@ func LoadArchive(r io.Reader, workers int) (*Archive, error) {
 	if hdr[len(archiveMagic)] != archiveVersion {
 		return nil, fmt.Errorf("%w: unsupported archive version %d", ErrFormat, hdr[len(archiveMagic)])
 	}
-	var scratch [8]byte
-	if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
+	var scratch [4]byte
+	if _, err := io.ReadFull(rd, scratch[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated field count", ErrFormat)
 	}
-	count := int(binary.LittleEndian.Uint32(scratch[:4]))
+	count := int(binary.LittleEndian.Uint32(scratch[:]))
 	if count < 0 || count > maxArchiveFields {
 		return nil, fmt.Errorf("%w: implausible field count %d", ErrFormat, count)
 	}
 	ar := &Archive{Repairs: pr.Report()}
-	readStr := func() (string, error) {
-		var l [1]byte
-		if _, err := io.ReadFull(rd, l[:]); err != nil {
-			return "", err
-		}
-		b := make([]byte, l[0])
-		if _, err := io.ReadFull(rd, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
 	for i := 0; i < count; i++ {
-		name, err := readStr()
+		name, err := readStr(rd)
 		if err != nil {
 			return nil, fmt.Errorf("%w: field %d name", ErrFormat, i)
 		}
-		compName, err := readStr()
+		meta, err := readMeta(rd)
 		if err != nil {
-			return nil, fmt.Errorf("%w: field %q compressor", ErrFormat, name)
+			return nil, fmt.Errorf("field %q: %w", name, err)
 		}
 		if _, err := io.ReadFull(rd, scratch[:]); err != nil {
-			return nil, fmt.Errorf("%w: field %q bound", ErrFormat, name)
-		}
-		bound := math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
-		var nd [1]byte
-		if _, err := io.ReadFull(rd, nd[:]); err != nil || nd[0] < 1 || nd[0] > 3 {
-			return nil, fmt.Errorf("%w: field %q dims", ErrFormat, name)
-		}
-		dims := make([]int, nd[0])
-		for j := range dims {
-			if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
-				return nil, fmt.Errorf("%w: field %q dims", ErrFormat, name)
-			}
-			dims[j] = int(binary.LittleEndian.Uint32(scratch[:4]))
-		}
-		if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
 			return nil, fmt.Errorf("%w: field %q length", ErrFormat, name)
 		}
-		clen := int(binary.LittleEndian.Uint32(scratch[:4]))
+		clen := int(binary.LittleEndian.Uint32(scratch[:]))
 		if clen < 0 || clen > rd.Len() {
 			return nil, fmt.Errorf("%w: field %q length %d", ErrFormat, name, clen)
 		}
@@ -211,7 +169,7 @@ func LoadArchive(r io.Reader, workers int) (*Archive, error) {
 		if _, err := io.ReadFull(rd, compressed); err != nil {
 			return nil, fmt.Errorf("%w: field %q payload", ErrFormat, name)
 		}
-		comp, err := pressio.New(compName, bound)
+		comp, err := pressio.New(meta.compressor, meta.bound)
 		if err != nil {
 			return nil, fmt.Errorf("%w: field %q: %v", ErrFormat, name, err)
 		}
@@ -221,8 +179,8 @@ func LoadArchive(r io.Reader, workers int) (*Archive, error) {
 		}
 		ar.Fields = append(ar.Fields, ArchiveField{
 			Name:       name,
-			Compressor: compName,
-			Bound:      bound,
+			Compressor: meta.compressor,
+			Bound:      meta.bound,
 			Dims:       gotDims,
 			Data:       data,
 		})

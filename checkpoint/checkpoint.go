@@ -87,29 +87,17 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 	if err != nil {
 		return nil, err
 	}
-	var payload bytes.Buffer
-	payload.WriteString(magic)
-	payload.WriteByte(version)
-	if len(opts.Compressor) > 255 {
-		return nil, fmt.Errorf("checkpoint: compressor name too long")
+	payload, err := appendMeta(append([]byte(magic), version), fieldMeta{opts.Compressor, opts.Bound, dims})
+	if err != nil {
+		return nil, err
 	}
-	payload.WriteByte(byte(len(opts.Compressor)))
-	payload.WriteString(opts.Compressor)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(opts.Bound))
-	payload.Write(scratch[:])
-	payload.WriteByte(byte(len(dims)))
-	for _, d := range dims {
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(d))
-		payload.Write(scratch[:4])
-	}
-	payload.Write(compressed)
+	payload = append(payload, compressed...)
 
 	aw, err := a.NewWriter(w, opts.Mem, opts.BW, opts.Resiliency, opts.ChunkBytes)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := aw.Write(payload.Bytes()); err != nil {
+	if _, err := aw.Write(payload); err != nil {
 		return nil, err
 	}
 	if err := aw.Close(); err != nil {
@@ -134,36 +122,19 @@ func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
 		return nil, nil, nil, err
 	}
 	rd := bytes.NewReader(payload)
-	hdr := make([]byte, len(magic)+2)
+	hdr := make([]byte, len(magic)+1)
 	if _, err := io.ReadFull(rd, hdr); err != nil || string(hdr[:len(magic)]) != magic {
 		return nil, nil, nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	if hdr[len(magic)] != version {
 		return nil, nil, nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, hdr[len(magic)])
 	}
-	nameLen := int(hdr[len(magic)+1])
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(rd, nameBuf); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: truncated name", ErrFormat)
-	}
-	var scratch [8]byte
-	if _, err := io.ReadFull(rd, scratch[:]); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: truncated bound", ErrFormat)
-	}
-	bound := math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
-	nd := make([]byte, 1)
-	if _, err := io.ReadFull(rd, nd); err != nil || nd[0] < 1 || nd[0] > 3 {
-		return nil, nil, nil, fmt.Errorf("%w: bad dims", ErrFormat)
-	}
-	dims := make([]int, nd[0])
-	for i := range dims {
-		if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: truncated dims", ErrFormat)
-		}
-		dims[i] = int(binary.LittleEndian.Uint32(scratch[:4]))
+	meta, err := readMeta(rd)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	compressed := payload[len(payload)-rd.Len():]
-	comp, err := pressio.New(string(nameBuf), bound)
+	comp, err := pressio.New(meta.compressor, meta.bound)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -172,12 +143,80 @@ func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
 		return nil, nil, nil, err
 	}
 	info := &Info{
-		Compressor:      string(nameBuf),
-		Bound:           bound,
+		Compressor:      meta.compressor,
+		Bound:           meta.bound,
 		Dims:            gotDims,
 		Elements:        len(data),
 		CompressedBytes: len(compressed),
 		Repairs:         ar.Report(),
 	}
 	return data, gotDims, info, nil
+}
+
+// fieldMeta is what reverses one compressed field: the compressor
+// configuration and the field's dims.
+type fieldMeta struct {
+	compressor string
+	bound      float64
+	dims       []int
+}
+
+// appendMeta appends m as Save and ArchiveWriter.WriteTo lay it out:
+// the compressor name behind a one-byte length, the bound's float64
+// bits, then a one-byte dim count and each dim, little-endian.
+func appendMeta(b []byte, m fieldMeta) ([]byte, error) {
+	if len(m.compressor) > 255 {
+		return nil, fmt.Errorf("checkpoint: compressor name too long")
+	}
+	b = appendStr(b, m.compressor)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.bound))
+	b = append(b, byte(len(m.dims)))
+	for _, d := range m.dims {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	return b, nil
+}
+
+// readMeta parses what appendMeta wrote. A field has 1 to 3 dims.
+func readMeta(rd *bytes.Reader) (fieldMeta, error) {
+	var m fieldMeta
+	var err error
+	if m.compressor, err = readStr(rd); err != nil {
+		return m, fmt.Errorf("%w: truncated compressor name", ErrFormat)
+	}
+	var scratch [8]byte
+	if _, err := io.ReadFull(rd, scratch[:]); err != nil {
+		return m, fmt.Errorf("%w: truncated bound", ErrFormat)
+	}
+	m.bound = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
+	nd, err := rd.ReadByte()
+	if err != nil || nd < 1 || nd > 3 {
+		return m, fmt.Errorf("%w: bad dims", ErrFormat)
+	}
+	m.dims = make([]int, nd)
+	for i := range m.dims {
+		if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
+			return m, fmt.Errorf("%w: truncated dims", ErrFormat)
+		}
+		m.dims[i] = int(binary.LittleEndian.Uint32(scratch[:4]))
+	}
+	return m, nil
+}
+
+// appendStr appends s (at most 255 bytes) behind a one-byte length.
+func appendStr(b []byte, s string) []byte {
+	return append(append(b, byte(len(s))), s...)
+}
+
+// readStr reads a string appendStr wrote.
+func readStr(rd *bytes.Reader) (string, error) {
+	n, err := rd.ReadByte()
+	if err != nil {
+		return "", err
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(rd, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
 }

@@ -281,13 +281,7 @@ func (rr *RangeReader) ReadRange(dst []byte, first, n int64) (int, Report, error
 	})
 
 	var acc reportAcc
-	var written int64
-	var err error
-	if hi-lo <= 1 || rr.pipeline <= 1 {
-		written, err = rr.readSequential(dst, first, end, lo, hi, &acc)
-	} else {
-		written, err = rr.readPipelined(dst, first, end, lo, hi, &acc)
-	}
+	written, err := rr.readChunks(dst, first, end, lo, hi, &acc)
 	acc.mu.Lock()
 	rep = acc.rep
 	acc.mu.Unlock()
@@ -304,68 +298,40 @@ func (rr *RangeReader) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// readSequential loads the covering chunks one at a time.
-func (rr *RangeReader) readSequential(dst []byte, first, end int64, lo, hi int, acc *reportAcc) (int64, error) {
+// readChunks loads the covering chunks [lo, hi) through a pipe whose
+// window is the smaller of the pipeline depth and the chunk count, so
+// a single-chunk read runs inline. The caller submits until the window
+// is full, then copies out the oldest chunk; chunk lo+i is the i-th
+// delivery, so the copy needs no reordering. The first error in chunk
+// order stops the read with every earlier chunk copied.
+func (rr *RangeReader) readChunks(dst []byte, first, end int64, lo, hi int, acc *reportAcc) (int64, error) {
+	window := min(rr.pipeline, hi-lo)
+	pipe := parallel.NewPipe(window, window, func(ord int) ([]byte, error) {
+		return rr.chunkData(ord, acc)
+	})
+	defer func() {
+		pipe.Abort()
+		pipe.Close()
+		for {
+			if _, ok, _ := pipe.Next(); !ok {
+				break
+			}
+		}
+		pipe.Wait()
+	}()
 	var written int64
+	next := lo
 	for ord := lo; ord < hi; ord++ {
-		data, err := rr.chunkData(ord, acc)
+		for ; next < hi && next-ord < window; next++ {
+			_ = pipe.Submit(next) // never aborted before the deferred drain
+		}
+		data, _, err := pipe.Next()
 		if err != nil {
 			return written, fmt.Errorf("chunk %d: %w", ord, err)
 		}
 		written += copyOverlap(dst, data, rr.entries[ord], first, end)
 	}
 	return written, nil
-}
-
-// readPipelined fans the covering chunks across a bounded,
-// order-preserving pipe: chunk ord lo+i is the i-th delivery, so the
-// copy loop below needs no reordering. The producer goroutine is
-// joined through the pipe's own drain/Wait discipline on every path.
-func (rr *RangeReader) readPipelined(dst []byte, first, end int64, lo, hi int, acc *reportAcc) (int64, error) {
-	workers := rr.pipeline
-	if n := hi - lo; workers > n {
-		workers = n
-	}
-	pipe := parallel.NewPipe(workers, workers, func(ord int) ([]byte, error) {
-		return rr.chunkData(ord, acc)
-	})
-	prodDone := make(chan struct{})
-	go func() {
-		defer close(prodDone)
-		defer pipe.Close()
-		for ord := lo; ord < hi; ord++ {
-			if pipe.Submit(ord) != nil {
-				return // aborted below; Submit fails once the pipe dies
-			}
-		}
-	}()
-
-	var written int64
-	var firstErr error
-	for ord := lo; ord < hi; ord++ {
-		data, ok, err := pipe.Next()
-		if !ok {
-			break
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("chunk %d: %w", ord, err)
-				pipe.Abort()
-			}
-			continue
-		}
-		if firstErr == nil {
-			written += copyOverlap(dst, data, rr.entries[ord], first, end)
-		}
-	}
-	for {
-		if _, ok, _ := pipe.Next(); !ok {
-			break
-		}
-	}
-	<-prodDone
-	pipe.Wait()
-	return written, firstErr
 }
 
 // copyOverlap copies the intersection of chunk e's bytes with the

@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ecc"
 	"repro/internal/parallel"
@@ -17,13 +16,16 @@ import (
 // need no side-band state, corrupted chunks fail independently, and
 // chunk boundaries bound the blast radius of unrecoverable damage.
 //
-// Chunk independence is also what makes the stream pipelinable: the
-// writer encodes up to Pipeline chunks concurrently and emits them
-// strictly in order, and the reader reads ahead up to Pipeline encoded
-// chunks and verifies/repairs them concurrently while Read consumes
-// repaired chunks in order. Encoding is deterministic and layout never
-// depends on worker count, so pipelined output is byte-identical to
-// the sequential (Pipeline = 1) path.
+// Chunk independence is also what makes the stream pipelinable. The
+// writer, the reader and multi-chunk range reads share one shape: the
+// calling goroutine keeps up to Pipeline chunks in flight in a
+// parallel.Pipe, submitting until the window is full or input ends,
+// then taking the oldest result and writing or delivering it. So the
+// caller always drives the underlying io.Writer/io.Reader, and the
+// first error in chunk order aborts and drains the pipe. A window of 1
+// runs inline on the caller's goroutine. Encoding is deterministic and
+// layout never depends on worker count, so output is byte-identical at
+// every Pipeline setting.
 
 // maxChunkPayload caps the EncLen a stream reader will allocate,
 // so a corrupted-but-CRC-colliding header cannot drive an OOM.
@@ -38,9 +40,9 @@ type StreamOptions struct {
 	// DefaultChunkSize).
 	ChunkSize int
 	// Pipeline bounds how many chunks may be encoded or decoded
-	// concurrently. 1 is strictly sequential (no extra goroutines,
-	// today's historical behaviour); <= 0 selects a default bounded by
-	// the worker budget. Output bytes are identical either way.
+	// concurrently. 1 is strictly sequential (no extra goroutines);
+	// <= 0 selects a default bounded by the worker budget. Output
+	// bytes are identical either way.
 	Pipeline int
 	// Indexed appends the container v2 footer — an ECC+CRC-protected
 	// chunk index and a replicated trailer — after the chunk stream,
@@ -104,8 +106,8 @@ func (cc *codecCache) get(cfg Config, workers, devSize int) (ecc.Code, error) {
 	return code, nil
 }
 
-// chunkScratch is the per-worker (or per-sequential-codec) scratch a
-// chunk encode/decode reuses across chunks: the codec memo skips the
+// chunkScratch is the per-worker scratch (the inline pipe's state when
+// Pipeline is 1) a chunk encode/decode reuses across chunks: the codec memo skips the
 // shared cache's mutex in steady state, and the ecc.Scratch arena
 // holds grow-only codec workspaces (RS stripes, interleave
 // transposes). A chunkScratch is owned by exactly one goroutine.
@@ -138,6 +140,13 @@ func (m *codecMemo) get(cc *codecCache, cfg Config, workers, devSize int) (ecc.C
 
 // ChunkWriter encodes fixed-size chunks of a byte stream with one
 // configuration choice and writes the containers to w.
+//
+// Write and Close are the only goroutine that touches w: full chunks
+// are submitted to pipe, whose workers protect them concurrently, and
+// once pipeline chunks are in flight the oldest is written out before
+// the next is submitted. Payload and container buffers circulate
+// through chunkBufPool, so the steady state allocates nothing per
+// chunk.
 type ChunkWriter struct {
 	eng       *Engine
 	w         io.Writer
@@ -145,31 +154,19 @@ type ChunkWriter struct {
 	payload   *chunkBuf // accumulating plaintext chunk
 	chunkSize int
 	pipeline  int
+	inflight  int // chunks submitted to pipe and not yet written
 	closed    bool
 	err       error
-	written   atomic.Int64
+	written   int64
 	codecs    codecCache
-	seq       *chunkScratch // sequential-path scratch (pipeline == 1)
+	pipe      *parallel.Pipe[*chunkBuf, *chunkBuf]
 
-	// v2 index accumulation (nil/inactive unless Indexed). Entries are
-	// appended by whichever goroutine emits chunks — the caller in
-	// sequential mode, the emit goroutine when pipelined — and read by
-	// Close only after that goroutine is joined, so no lock is needed.
+	// v2 index accumulation (nil/inactive unless Indexed).
 	indexed  bool
 	index    []indexEntry
 	nextOff  int64
 	origOff  int64
 	indexErr error
-
-	// Pipelined state (nil/unused when pipeline == 1). The producer
-	// (Write/Close caller) submits full chunks; encoder workers protect
-	// them concurrently; the emitter goroutine writes encoded chunks to
-	// w strictly in submission order. Payload and container buffers
-	// circulate through chunkBufPool, so the steady state allocates
-	// nothing per chunk.
-	pipe     *parallel.Pipe[*chunkBuf, *chunkBuf]
-	emitDone chan struct{}
-	emitErr  atomic.Value // error; first writer-side error wins
 }
 
 // NewChunkWriter creates a streaming encoder. chunkSize <= 0 selects
@@ -206,19 +203,13 @@ func (e *Engine) NewChunkWriterChoice(w io.Writer, choice Choice, opts StreamOpt
 		indexed:   opts.Indexed,
 	}
 	cw.payload.b = cw.payload.b[:0]
-	if cw.pipeline > 1 {
-		cw.pipe = parallel.NewPipeWith(cw.pipeline, cw.pipeline,
-			func() *chunkScratch { return new(chunkScratch) },
-			func(in *chunkBuf, s *chunkScratch) (*chunkBuf, error) {
-				out, err := cw.encodeChunk(in.b, s)
-				putChunkBuf(in) // payload consumed; recycle for the producer
-				return out, err
-			})
-		cw.emitDone = make(chan struct{})
-		go cw.emit()
-	} else {
-		cw.seq = new(chunkScratch)
-	}
+	cw.pipe = parallel.NewPipeWith(cw.pipeline, cw.pipeline,
+		func() *chunkScratch { return new(chunkScratch) },
+		func(in *chunkBuf, s *chunkScratch) (*chunkBuf, error) {
+			out, err := cw.encodeChunk(in.b, s)
+			putChunkBuf(in) // payload consumed; recycle for the next chunk
+			return out, err
+		})
 	return cw, nil
 }
 
@@ -277,41 +268,7 @@ func (cw *ChunkWriter) encodeChunk(data []byte, s *chunkScratch) (*chunkBuf, err
 	return out, nil
 }
 
-// emit is the pipelined writer's consumer goroutine: it receives
-// encoded chunks in submission order and writes them out. On the first
-// error it aborts the pipe (cancelling in-flight encodes) and keeps
-// draining so the producer is never stuck in Submit.
-func (cw *ChunkWriter) emit() {
-	defer close(cw.emitDone)
-	for {
-		enc, ok, err := cw.pipe.Next()
-		if !ok {
-			return
-		}
-		if cw.emitErr.Load() != nil {
-			putChunkBuf(enc)
-			continue // draining after failure
-		}
-		if err == nil {
-			_, werr := cw.w.Write(enc.b)
-			err = werr
-		}
-		if err != nil {
-			putChunkBuf(enc)
-			cw.emitErr.Store(err)
-			cw.pipe.Abort()
-			continue
-		}
-		cw.noteChunk(enc.b)
-		cw.written.Add(int64(len(enc.b)))
-		putChunkBuf(enc)
-	}
-}
-
-// noteChunk records one just-emitted container in the v2 index. It is
-// called only by the goroutine that writes chunks (flush when
-// sequential, emit when pipelined), so the index fields need no lock;
-// Close reads them only after that goroutine is joined.
+// noteChunk records one just-written container in the v2 index.
 func (cw *ChunkWriter) noteChunk(container []byte) {
 	if !cw.indexed || cw.indexErr != nil {
 		return
@@ -338,80 +295,76 @@ func (cw *ChunkWriter) noteChunk(container []byte) {
 // maxIndexedChunk is the largest OrigLen an index entry can record.
 const maxIndexedChunk = 1<<32 - 1
 
-// firstErr surfaces the pipeline's first writer-side error, if any.
-func (cw *ChunkWriter) firstErr() error {
-	if err, _ := cw.emitErr.Load().(error); err != nil {
-		return err
-	}
-	return nil
-}
-
-// flush encodes and emits the buffered chunk.
+// flush submits the buffered chunk to the pipe and starts a fresh
+// payload buffer (the submitted one now belongs to the pipe, which
+// recycles it after encoding). Once the window is full, the oldest
+// chunk is written out, so at most pipeline chunks are in flight.
 func (cw *ChunkWriter) flush() error {
-	if cw.payload == nil || len(cw.payload.b) == 0 {
+	if len(cw.payload.b) == 0 {
 		return nil
 	}
-	if cw.pipe == nil {
-		enc, err := cw.encodeChunk(cw.payload.b, cw.seq)
-		if err != nil {
-			cw.err = err
-			return err
-		}
-		if _, err := cw.w.Write(enc.b); err != nil {
-			putChunkBuf(enc)
-			cw.err = err
-			return err
-		}
-		cw.noteChunk(enc.b)
-		cw.written.Add(int64(len(enc.b)))
-		putChunkBuf(enc)
-		cw.payload.b = cw.payload.b[:0]
-		return nil
+	if err := cw.pipe.Submit(cw.payload); err != nil {
+		return cw.fail(err)
 	}
-	if err := cw.firstErr(); err != nil {
-		cw.err = err
-		return err
-	}
-	// Hand the buffer to the pipeline (blocking while the window is
-	// full) and start a fresh one from the pool; the chunk now belongs
-	// to a worker, which recycles it after encoding.
-	if cw.pipe.Submit(cw.payload) != nil {
-		if err := cw.firstErr(); err != nil {
-			cw.err = err
-			return err
-		}
-		cw.err = parallel.ErrPipeAborted
-		return cw.err
-	}
+	cw.inflight++
 	cw.payload = getChunkBuf(cw.chunkSize)
 	cw.payload.b = cw.payload.b[:0]
+	if cw.inflight == cw.pipeline {
+		return cw.writeOldest()
+	}
 	return nil
 }
 
-// Close flushes the final (possibly short) chunk and, in pipelined
-// mode, waits for every in-flight chunk to be encoded and emitted (or
-// cancelled, on error). It never leaks goroutines, and it does not
-// close the underlying writer. Close is idempotent in effect: second
-// and later calls report the writer as closed.
+// writeOldest takes the oldest in-flight chunk from the pipe and
+// writes it to w. The first error, in chunk order, fails the writer.
+func (cw *ChunkWriter) writeOldest() error {
+	enc, _, err := cw.pipe.Next()
+	cw.inflight--
+	if err == nil {
+		_, err = cw.w.Write(enc.b)
+	}
+	if err == nil {
+		cw.noteChunk(enc.b)
+		cw.written += int64(len(enc.b))
+	}
+	putChunkBuf(enc)
+	if err != nil {
+		return cw.fail(err)
+	}
+	return nil
+}
+
+// fail records the writer's first error, then cancels and drains the
+// pipe so no encode is left in flight. Close joins the workers.
+func (cw *ChunkWriter) fail(err error) error {
+	cw.err = err
+	cw.pipe.Abort()
+	for ; cw.inflight > 0; cw.inflight-- {
+		enc, _, _ := cw.pipe.Next()
+		putChunkBuf(enc)
+	}
+	return err
+}
+
+// Close flushes the final (possibly short) chunk, writes every chunk
+// still in flight and joins the pipe's workers; on error they are
+// cancelled instead. It never leaks goroutines, and it does not close
+// the underlying writer. Close is idempotent in effect: second and
+// later calls report the writer as closed.
 func (cw *ChunkWriter) Close() error {
 	if cw.closed {
 		return cw.err
 	}
 	cw.closed = true
-	var err error
-	if cw.err != nil {
-		err = cw.err
-	} else {
+	err := cw.err
+	if err == nil {
 		err = cw.flush()
 	}
-	if cw.pipe != nil {
-		cw.pipe.Close()
-		<-cw.emitDone
-		cw.pipe.Wait()
-		if err == nil {
-			err = cw.firstErr()
-		}
+	for err == nil && cw.inflight > 0 {
+		err = cw.writeOldest()
 	}
+	cw.pipe.Close()
+	cw.pipe.Wait()
 	putChunkBuf(cw.payload)
 	cw.payload = nil
 	if err == nil && cw.indexed {
@@ -426,8 +379,7 @@ func (cw *ChunkWriter) Close() error {
 }
 
 // writeFooter appends the v2 index chunk and trailer after every data
-// chunk has been emitted (the emit goroutine, when any, is already
-// joined, so the index slice is complete and stable).
+// chunk has been written.
 func (cw *ChunkWriter) writeFooter() error {
 	if cw.indexErr != nil {
 		return cw.indexErr
@@ -436,20 +388,27 @@ func (cw *ChunkWriter) writeFooter() error {
 	if _, err := cw.w.Write(foot); err != nil {
 		return err
 	}
-	cw.written.Add(int64(len(foot)))
+	cw.written += int64(len(foot))
 	return nil
 }
 
-// BytesWritten returns the encoded bytes emitted so far. In pipelined
-// mode chunks still in flight are not yet counted.
-func (cw *ChunkWriter) BytesWritten() int64 { return cw.written.Load() }
+// BytesWritten returns the encoded bytes written so far. Chunks still
+// in flight in the pipeline are not yet counted.
+func (cw *ChunkWriter) BytesWritten() int64 { return cw.written }
 
 // ChunkReader decodes a stream of containers, verifying and repairing
 // each chunk as it goes.
+//
+// Read is the only goroutine that touches r: it reads encoded chunks
+// off r and submits them to pipe until pipeline chunks are in flight
+// or the input ends, then delivers the oldest repaired chunk. Payload
+// and output buffers circulate through chunkBufPool.
 type ChunkReader struct {
 	r        io.Reader
 	workers  int
 	pipeline int
+	inflight int   // chunks submitted to pipe and not yet delivered
+	inErr    error // how the input ended (io.EOF when cleanly); nil while it lasts
 	cur      []byte
 	curBuf   *chunkBuf // owner of cur's storage; recycled once drained
 	hdr      [ContainerOverheadBytes]byte
@@ -457,17 +416,7 @@ type ChunkReader struct {
 	closed   bool
 	report   Report
 	codecs   codecCache
-	seq      *chunkScratch // sequential-path scratch (pipeline == 1)
-
-	// Pipelined state (nil/unused when pipeline == 1). The producer
-	// goroutine reads encoded chunks off r sequentially and submits
-	// them; decode workers verify/repair concurrently; Read drains
-	// repaired chunks in order. Payload and output buffers circulate
-	// through chunkBufPool.
 	pipe     *parallel.Pipe[encChunk, decChunk]
-	started  bool
-	prodDone chan struct{}
-	prodErr  error // read-side terminal error; valid once prodDone is closed
 }
 
 // encChunk is one still-encoded chunk handed to a decode worker, which
@@ -501,15 +450,19 @@ func NewChunkReader(r io.Reader, workers int) *ChunkReader {
 // (ChunkSize is ignored on the read side: chunks are self-describing).
 func NewChunkReaderWith(r io.Reader, workers int, opts StreamOptions) *ChunkReader {
 	opts = opts.normalize(workers)
-	return &ChunkReader{r: r, workers: workers, pipeline: opts.Pipeline}
+	cr := &ChunkReader{r: r, workers: workers, pipeline: opts.Pipeline}
+	cr.pipe = parallel.NewPipeWith(cr.pipeline, cr.pipeline,
+		func() *chunkScratch { return new(chunkScratch) },
+		cr.decodeChunk)
+	return cr
 }
 
 // Report returns the accumulated repair statistics.
 func (cr *ChunkReader) Report() Report { return cr.report }
 
 // Read implements io.Reader. The first error in chunk order wins:
-// every chunk before it is delivered intact, and the pipeline shuts
-// down without leaking goroutines.
+// every chunk before it is delivered intact, and the pipe shuts down
+// without leaking goroutines.
 func (cr *ChunkReader) Read(p []byte) (int, error) {
 	for len(cr.cur) == 0 {
 		if cr.curBuf != nil {
@@ -550,24 +503,26 @@ func (cr *ChunkReader) Close() error {
 	return nil
 }
 
-// next produces the next decoded chunk into cr.cur.
+// next fills the window from r, then takes the oldest decoded chunk
+// into cr.cur. Once the input has ended and the window is empty, it
+// returns how the input ended.
 func (cr *ChunkReader) next() error {
-	if cr.pipeline <= 1 {
-		return cr.nextChunk()
+	for cr.inErr == nil && cr.inflight < cr.pipeline {
+		c, err := cr.readChunk()
+		if err == nil {
+			err = cr.pipe.Submit(c)
+		}
+		if err != nil {
+			cr.inErr = err
+			break
+		}
+		cr.inflight++
 	}
-	if !cr.started {
-		cr.started = true
-		cr.pipe = parallel.NewPipeWith(cr.pipeline, cr.pipeline,
-			func() *chunkScratch { return new(chunkScratch) },
-			cr.decodeChunk)
-		cr.prodDone = make(chan struct{})
-		go cr.produce()
+	if cr.inflight == 0 {
+		return cr.inErr
 	}
-	out, ok, err := cr.pipe.Next()
-	if !ok {
-		<-cr.prodDone
-		return cr.prodErr
-	}
+	out, _, err := cr.pipe.Next()
+	cr.inflight--
 	cr.report.Chunks++
 	cr.report.DetectedBlocks += out.rep.DetectedBlocks
 	cr.report.CorrectedBlocks += out.rep.CorrectedBlocks
@@ -581,25 +536,7 @@ func (cr *ChunkReader) next() error {
 	return nil
 }
 
-// produce reads encoded chunks sequentially and feeds the decode
-// pipeline until EOF, a malformed container, or an abort.
-func (cr *ChunkReader) produce() {
-	defer close(cr.prodDone)
-	defer cr.pipe.Close()
-	for {
-		c, err := cr.readChunk()
-		if err != nil {
-			cr.prodErr = err
-			return
-		}
-		if cr.pipe.Submit(c) != nil {
-			cr.prodErr = parallel.ErrPipeAborted
-			return
-		}
-	}
-}
-
-// decodeChunk is the decode-worker body: verify and repair one chunk
+// decodeChunk is the pipe's worker body: verify and repair one chunk
 // into a pooled output buffer, consuming (and recycling) the encoded
 // payload. An ecc error (e.g. uncorrectable damage) is returned
 // alongside the best-effort statistics.
@@ -697,49 +634,16 @@ func readCappedInto(r io.Reader, dst []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// shutdown cancels and joins the pipelined machinery; safe to call on
-// a sequential or never-started reader.
+// shutdown cancels the pipe, recycles every decoded-but-undelivered
+// chunk and joins the workers. It is idempotent.
 func (cr *ChunkReader) shutdown() {
-	if cr.pipe == nil {
-		return
-	}
 	cr.pipe.Abort()
-	// Drain deliveries so a producer blocked in Submit can exit, then
-	// join producer and workers. Decoded-but-undelivered chunks go back
-	// to the pool.
-	for {
-		out, ok, _ := cr.pipe.Next()
-		if !ok {
-			break
-		}
+	cr.pipe.Close()
+	for ; cr.inflight > 0; cr.inflight-- {
+		out, _, _ := cr.pipe.Next()
 		putChunkBuf(out.data)
 	}
-	<-cr.prodDone
 	cr.pipe.Wait()
-	cr.pipe = nil
-}
-
-// nextChunk reads and decodes one container sequentially.
-func (cr *ChunkReader) nextChunk() error {
-	c, err := cr.readChunk()
-	if err != nil {
-		return err
-	}
-	if cr.seq == nil {
-		cr.seq = new(chunkScratch)
-	}
-	out, derr := cr.decodeChunk(c, cr.seq)
-	cr.report.Chunks++
-	cr.report.DetectedBlocks += out.rep.DetectedBlocks
-	cr.report.CorrectedBlocks += out.rep.CorrectedBlocks
-	cr.report.CorrectedBits += out.rep.CorrectedBits
-	if derr != nil {
-		putChunkBuf(out.data)
-		return fmt.Errorf("chunk %d: %w", cr.report.Chunks, derr)
-	}
-	cr.cur = out.data.b
-	cr.curBuf = out.data
-	return nil
 }
 
 // ChunkInfo summarizes one container of a stream without decoding its

@@ -4,8 +4,8 @@ package core
 // warm-up, steady-state chunk encode and decode must stay within a
 // small amortized allocation budget (the tentpole claim recorded in
 // BENCH_stream.json and gated by verify.sh). Measured with
-// testing.AllocsPerRun, which counts mallocs process-wide — worker
-// and emitter goroutine allocations are included, which is the point.
+// testing.AllocsPerRun, which counts mallocs process-wide — pipe
+// worker allocations are included, which is the point.
 
 import (
 	"io"

@@ -2,10 +2,10 @@ package core
 
 // Regression test for ChunkReader.Close racing a mid-stream decode
 // error — the scenario the chansafety analyzer guards statically. The
-// reader's Close cancels the pipeline from the consumer side at the
-// same moment a decode worker is failing a damaged chunk and the
-// producer is still submitting; a shutdown bug here strands the
-// producer on a send or a worker on a result channel. The test runs
+// reader's Close cancels the pipe at the same moment a decode worker
+// is failing a damaged chunk with later chunks still in flight; a
+// shutdown bug here strands a worker on a send or leaves undelivered
+// chunks in the pipe. The test runs
 // the window at several read depths (before the pipeline starts, with
 // the error chunk still in flight, and after the error has surfaced)
 // and checks the goroutine count settles back every time. CI runs it

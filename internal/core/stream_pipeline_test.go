@@ -1,7 +1,7 @@
 package core
 
-// Tests for the pipelined chunk stream: byte-identity against the
-// sequential path, ordering, error-first semantics, and — because the
+// Tests for the pipelined chunk stream: byte-identity against
+// Pipeline 1, ordering, error-first semantics, and — because the
 // pipeline spawns goroutines — leak checks for every way a stream can
 // end (clean EOF, mid-stream damage, truncation, Close without drain,
 // failing sink). All of these run under `go test -race ./...` in CI.
@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -329,8 +330,7 @@ func TestChunkWriterCachesCodecsAcrossChunks(t *testing.T) {
 }
 
 func TestPipelineDefaultsAndSequentialFallback(t *testing.T) {
-	// Pipeline <= 0 must resolve to the worker budget; 1 must never
-	// allocate pipeline machinery.
+	// Pipeline <= 0 must resolve to the worker budget.
 	var buf bytes.Buffer
 	cw, err := streamTestEngine(3).NewChunkWriterChoice(&buf, pipelineTestChoice, StreamOptions{})
 	if err != nil {
@@ -348,9 +348,115 @@ func TestPipelineDefaultsAndSequentialFallback(t *testing.T) {
 	if _, err := seq.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("sequential empty stream: %v", err)
 	}
-	if seq.pipe != nil {
-		t.Fatal("sequential reader must not build a pipe")
+
+	// Pipeline 1 must start no goroutine: the sink, source and ReaderAt
+	// below sample the goroutine count on every call, which is while
+	// the stream or range read is mid-flight. Pipeline 4 is the probe's
+	// own control: its workers must show up.
+	data := make([]byte, 8<<10+5)
+	rand.New(rand.NewSource(113)).Read(data)
+	opts := StreamOptions{ChunkSize: 1 << 10, Indexed: true}
+	for _, pl := range []int{1, 4} {
+		opts.Pipeline = pl
+		base := runtime.NumGoroutine()
+		var peak goroutinePeak
+		sink := &peakWriter{peak: &peak}
+		cw, err := streamTestEngine(4).NewChunkWriterChoice(sink, pipelineTestChoice, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		encoded := sink.buf.Bytes()
+		writePeak := peak.swap()
+
+		cr := NewChunkReaderWith(&peakReader{r: bytes.NewReader(encoded), peak: &peak}, 1, opts)
+		got, err := io.ReadAll(cr)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("pipeline %d: stream round trip: err=%v", pl, err)
+		}
+		readPeak := peak.swap()
+
+		rr, err := OpenRangeReader(&peakReaderAt{r: bytes.NewReader(encoded), peak: &peak},
+			int64(len(encoded)), RangeOptions{Pipeline: pl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 5<<10)
+		if n, _, err := rr.ReadRange(dst, 1000, int64(len(dst))); err != nil || !bytes.Equal(dst[:n], data[1000:1000+len(dst)]) {
+			t.Fatalf("pipeline %d: multi-chunk range: n=%d err=%v", pl, n, err)
+		}
+		_ = rr.Close()
+		rangePeak := peak.swap()
+
+		for _, c := range []struct {
+			what string
+			peak int
+		}{{"ChunkWriter encode", writePeak}, {"ChunkReader decode", readPeak}, {"multi-chunk ReadRange", rangePeak}} {
+			if pl == 1 && c.peak > base {
+				t.Errorf("pipeline 1: %s ran with %d goroutines, started with %d", c.what, c.peak, base)
+			}
+			if pl > 1 && c.peak <= base {
+				t.Errorf("pipeline %d: %s never saw its workers (%d goroutines, started with %d)", pl, c.what, c.peak, base)
+			}
+		}
 	}
+}
+
+// goroutinePeak records the most goroutines seen by the probes below.
+type goroutinePeak struct {
+	mu  sync.Mutex
+	max int
+}
+
+func (g *goroutinePeak) sample() {
+	n := runtime.NumGoroutine()
+	g.mu.Lock()
+	g.max = max(g.max, n)
+	g.mu.Unlock()
+}
+
+// swap returns the peak so far and resets it.
+func (g *goroutinePeak) swap() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := g.max
+	g.max = 0
+	return n
+}
+
+type peakWriter struct {
+	buf  bytes.Buffer
+	peak *goroutinePeak
+}
+
+func (w *peakWriter) Write(p []byte) (int, error) {
+	w.peak.sample()
+	return w.buf.Write(p)
+}
+
+type peakReader struct {
+	r    io.Reader
+	peak *goroutinePeak
+}
+
+func (r *peakReader) Read(p []byte) (int, error) {
+	r.peak.sample()
+	return r.r.Read(p)
+}
+
+type peakReaderAt struct {
+	r    io.ReaderAt
+	peak *goroutinePeak
+}
+
+func (r *peakReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	r.peak.sample()
+	return r.r.ReadAt(p, off)
 }
 
 func TestPipelinedWriterManyChunksOrdered(t *testing.T) {

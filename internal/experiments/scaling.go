@@ -164,11 +164,14 @@ type Fig10Result struct {
 }
 
 // Fig10Row is one (config, threads, errors) decode measurement.
+// Report is the decode's repair accounting, identical on every timed
+// repetition: the deterministic side of the figure's repair cost.
 type Fig10Row struct {
 	Config  string
 	Threads int
 	Errors  int
 	DecMBs  float64
+	Report  ecc.Report
 }
 
 // Fig10 injects correctable errors and measures the decode cost. Only
@@ -203,12 +206,13 @@ func Fig10(threadCounts []int, payloadBytes int, errorCounts []int, seed int64) 
 				// repair-cost signal this figure is about.
 				scratch := make([]byte, len(enc))
 				var best time.Duration
+				var report ecc.Report
 				for rep := 0; rep < timingReps; rep++ {
 					copy(scratch, enc)
 					t0 := time.Now()
-					//arcvet:ignore integrityflow repair-cost timing loop; the figure measures latency, not correction counts
-					_, _, derr := code.Decode(scratch, len(data))
+					_, drep, derr := code.Decode(scratch, len(data))
 					el := time.Since(t0)
+					report = drep
 					if derr != nil {
 						return nil, fmt.Errorf("fig10 %s@%d/%d errors: decode failed: %v", cfg, th, nerr, derr)
 					}
@@ -221,6 +225,7 @@ func Fig10(threadCounts []int, payloadBytes int, errorCounts []int, seed int64) 
 					Threads: th,
 					Errors:  nerr,
 					DecMBs:  mbs(len(data), best),
+					Report:  report,
 				})
 			}
 		}

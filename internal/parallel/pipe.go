@@ -17,6 +17,12 @@ var ErrPipeAborted = errors.New("parallel: pipeline aborted")
 // order. At most `window` items are in flight, so memory stays bounded
 // and a slow consumer backpressures the producer.
 //
+// A window of 1 runs inline: Submit applies fn on the calling
+// goroutine and the pipe never starts a goroutine, so a caller can
+// drive any depth, 1 included, through the same Submit/Next loop.
+// Worker goroutines otherwise start on the first Submit, so a pipe
+// that never receives an item costs no goroutine either.
+//
 // Contract: exactly one goroutine calls Submit and Close (the
 // producer), and exactly one goroutine calls Next (the consumer); they
 // may be the same or different goroutines. Abort and Wait may be
@@ -27,32 +33,42 @@ var ErrPipeAborted = errors.New("parallel: pipeline aborted")
 // drain-then-Wait sequence is still required.
 //
 // Steady-state Submit/Next round trips are allocation-free: job cells
-// (including their completion channels) are recycled through an
-// internal sync.Pool once the consumer has observed them.
+// (including their completion channels) are recycled through a free
+// list once the consumer has observed them.
 type Pipe[I, O any] struct {
-	// jobs feeds the workers; pending holds the same jobs in
-	// submission order for the consumer. Both have capacity `window`,
-	// and every job enters pending first, so neither send can block
-	// once the pending send has gone through.
+	// jobs feeds the workers (nil inline); pending holds the same jobs
+	// in submission order for the consumer. Both have capacity
+	// `window`, and every job enters pending first, so neither send
+	// can block once the pending send has gone through.
 	jobs    chan *pipeJob[I, O]
 	pending chan *pipeJob[I, O]
 	quit    chan struct{}
 
-	// free recycles consumed pipeJob cells. A job is only Put after
-	// Next (or the abort-drain loop) has read its result, at which
-	// point no worker or producer references it.
-	free sync.Pool
+	// free recycles consumed pipeJob cells. A job is only returned
+	// after Next (or the abort-drain loop) has read its result, at
+	// which point no worker or producer references it. Its capacity
+	// covers every cell that can exist at once: window in pending, one
+	// held by the consumer and one being submitted.
+	free chan *pipeJob[I, O]
 
-	aborted   atomic.Bool
-	workers   sync.WaitGroup
-	closeOnce sync.Once
-	abortOnce sync.Once
+	// newStage builds one worker's stage. The first Submit starts the
+	// pipe: inline it builds the one stage on the producer's
+	// goroutine, otherwise each of the nworkers goroutines builds its
+	// own. started and closed are producer-only.
+	newStage func() stage[I, O]
+	inline   stage[I, O]
+	nworkers int
+	started  bool
+	closed   bool
+
+	aborted atomic.Bool
+	workers sync.WaitGroup
 }
 
 // pipeJob carries one item through the pipe. done is a one-slot
 // buffered channel used as a reusable completion signal: exactly one
 // send (by the completing side) and one receive (by the consumer) per
-// trip through the pipe, so the cell can be pooled afterwards.
+// trip through the pipe, so the cell can be recycled afterwards.
 type pipeJob[I, O any] struct {
 	in   I
 	out  O
@@ -60,13 +76,14 @@ type pipeJob[I, O any] struct {
 	done chan struct{}
 }
 
-// NewPipe starts a pipeline with the given worker count (<= 0 means
+// stage is fn as one worker (or, inline, the producer) applies it.
+type stage[I, O any] func(I) (O, error)
+
+// NewPipe creates a pipeline with the given worker count (<= 0 means
 // GOMAXPROCS) and in-flight window (raised to the worker count when
 // smaller, so no worker is permanently idle).
 func NewPipe[I, O any](workers, window int, fn func(I) (O, error)) *Pipe[I, O] {
-	return NewPipeWith(workers, window,
-		func() struct{} { return struct{}{} },
-		func(in I, _ struct{}) (O, error) { return fn(in) })
+	return newPipe(workers, window, func() stage[I, O] { return fn })
 }
 
 // NewPipeWith is NewPipe with per-worker state: each worker goroutine
@@ -76,7 +93,16 @@ func NewPipe[I, O any](workers, window int, fn func(I) (O, error)) *Pipe[I, O] {
 // scratch arena (reusable buffers, cached lookups) without locks and
 // without per-job allocation. newState runs on the worker goroutine
 // itself, so lazily-initialized state lands in that worker's cache.
+// Inline (window 1), the producer is the only worker: newState runs
+// once, on the first Submit.
 func NewPipeWith[I, O, S any](workers, window int, newState func() S, fn func(I, S) (O, error)) *Pipe[I, O] {
+	return newPipe(workers, window, func() stage[I, O] {
+		state := newState()
+		return func(in I) (O, error) { return fn(in, state) }
+	})
+}
+
+func newPipe[I, O any](workers, window int, newStage func() stage[I, O]) *Pipe[I, O] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -84,56 +110,91 @@ func NewPipeWith[I, O, S any](workers, window int, newState func() S, fn func(I,
 		window = workers
 	}
 	p := &Pipe[I, O]{
-		jobs:    make(chan *pipeJob[I, O], window),
-		pending: make(chan *pipeJob[I, O], window),
-		quit:    make(chan struct{}),
+		pending:  make(chan *pipeJob[I, O], window),
+		quit:     make(chan struct{}),
+		free:     make(chan *pipeJob[I, O], window+2),
+		newStage: newStage,
+		nworkers: workers,
 	}
-	for i := 0; i < workers; i++ {
-		p.workers.Add(1)
-		go func() {
-			defer p.workers.Done()
-			state := newState()
-			for j := range p.jobs {
-				if p.aborted.Load() {
-					j.err = ErrPipeAborted
-				} else {
-					j.out, j.err = fn(j.in, state)
-				}
-				j.done <- struct{}{}
-			}
-		}()
+	if window > 1 {
+		p.jobs = make(chan *pipeJob[I, O], window)
 	}
 	return p
 }
 
+// start builds the inline stage or spawns the workers.
+func (p *Pipe[I, O]) start() {
+	if p.jobs == nil {
+		p.inline = p.newStage()
+		return
+	}
+	p.workers.Add(p.nworkers)
+	for i := 0; i < p.nworkers; i++ {
+		go func() {
+			defer p.workers.Done()
+			st := p.newStage()
+			for j := range p.jobs {
+				p.run(j, st)
+			}
+		}()
+	}
+}
+
+// run completes job j through st, or with ErrPipeAborted once the pipe
+// is aborted, and signals the consumer.
+func (p *Pipe[I, O]) run(j *pipeJob[I, O], st stage[I, O]) {
+	if p.aborted.Load() {
+		j.err = ErrPipeAborted
+	} else {
+		j.out, j.err = st(j.in)
+	}
+	j.done <- struct{}{}
+}
+
 // getJob returns a recycled (or new) job cell with in set.
 func (p *Pipe[I, O]) getJob(in I) *pipeJob[I, O] {
-	if j, ok := p.free.Get().(*pipeJob[I, O]); ok {
+	select {
+	case j := <-p.free:
 		j.in = in
 		return j
+	default:
+		return &pipeJob[I, O]{in: in, done: make(chan struct{}, 1)}
 	}
-	return &pipeJob[I, O]{in: in, done: make(chan struct{}, 1)}
 }
 
 // putJob recycles a fully-consumed job cell, dropping its payload
-// references so pooled cells do not retain caller memory.
+// references so recycled cells do not retain caller memory.
 func (p *Pipe[I, O]) putJob(j *pipeJob[I, O]) {
 	var zi I
 	var zo O
 	j.in, j.out, j.err = zi, zo, nil
-	p.free.Put(j)
+	select {
+	case p.free <- j:
+	default:
+	}
 }
 
 // Submit enqueues one item, blocking while the in-flight window is
-// full. It returns ErrPipeAborted (without enqueueing) once the pipe
-// has been aborted.
+// full; inline, it then applies fn before returning. It returns
+// ErrPipeAborted (without enqueueing) once the pipe has been aborted.
 func (p *Pipe[I, O]) Submit(in I) error {
+	if p.aborted.Load() {
+		return ErrPipeAborted
+	}
+	if !p.started {
+		p.started = true
+		p.start()
+	}
 	j := p.getJob(in)
 	select {
 	case p.pending <- j:
 	case <-p.quit:
 		p.putJob(j)
 		return ErrPipeAborted
+	}
+	if p.jobs == nil {
+		p.run(j, p.inline)
+		return nil
 	}
 	select {
 	case p.jobs <- j:
@@ -150,10 +211,14 @@ func (p *Pipe[I, O]) Submit(in I) error {
 // until it has drained every submitted item. Close is idempotent; it
 // must not race with Submit (producer-only, like Submit itself).
 func (p *Pipe[I, O]) Close() {
-	p.closeOnce.Do(func() {
-		close(p.pending)
+	if p.closed {
+		return
+	}
+	p.closed = true
+	close(p.pending)
+	if p.jobs != nil {
 		close(p.jobs)
-	})
+	}
 }
 
 // Next returns the next result in submission order, blocking until it
@@ -177,14 +242,14 @@ func (p *Pipe[I, O]) Next() (out O, ok bool, err error) {
 // already being processed run to completion (fn is never interrupted
 // mid-call). Abort is idempotent and safe from any goroutine.
 func (p *Pipe[I, O]) Abort() {
-	p.abortOnce.Do(func() {
-		p.aborted.Store(true)
+	if p.aborted.CompareAndSwap(false, true) {
 		close(p.quit)
-	})
+	}
 }
 
-// Wait joins the worker goroutines. It returns once Close has been
-// called and every worker has exited; call it after the drain.
+// Wait joins the worker goroutines (none inline, or before the first
+// Submit). It returns once Close has been called and every worker has
+// exited; call it after the drain.
 func (p *Pipe[I, O]) Wait() {
 	p.workers.Wait()
 }

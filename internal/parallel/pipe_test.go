@@ -315,3 +315,190 @@ func TestPipeStressLeakFree(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d live, started with %d", runtime.NumGoroutine(), base)
 	}
 }
+
+// The tests below pin inline mode (a window of 1): fn runs on the
+// submitting goroutine, no goroutine is started, and the Submit/Next
+// contract is otherwise the same as with workers.
+
+func TestPipeInlineOrderNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var peak int
+	p := NewPipe(1, 1, func(i int) (int, error) {
+		peak = max(peak, runtime.NumGoroutine()) // unsynchronized: fn must run on this goroutine
+		return i * i, nil
+	})
+	for i := 0; i < 50; i++ {
+		if err := p.Submit(i); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		out, ok, err := p.Next()
+		if !ok || err != nil || out != i*i {
+			t.Fatalf("next %d: out=%d ok=%v err=%v", i, out, ok, err)
+		}
+	}
+	p.Close()
+	if _, ok, _ := p.Next(); ok {
+		t.Fatal("Next after Close and drain must report done")
+	}
+	p.Wait()
+	if peak > base {
+		t.Fatalf("inline pipe ran fn with %d goroutines live, started with %d", peak, base)
+	}
+}
+
+func TestPipeInlineAcrossGoroutines(t *testing.T) {
+	// Producer and consumer may still be different goroutines: Submit
+	// blocks while the one-item window is full.
+	p := NewPipe(1, 1, func(i int) (int, error) { return -i, nil })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			if err := p.Submit(i); err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+		}
+		p.Close()
+	}()
+	for i := 0; ; i++ {
+		out, ok, err := p.Next()
+		if !ok {
+			if i != 100 {
+				t.Fatalf("drained %d items, want 100", i)
+			}
+			break
+		}
+		if err != nil || out != -i {
+			t.Fatalf("item %d: out=%d err=%v", i, out, err)
+		}
+	}
+	<-done
+	p.Wait()
+}
+
+func TestPipeInlinePerItemError(t *testing.T) {
+	sentinel := errors.New("sentinel")
+	p := NewPipe(1, 1, func(i int) (int, error) {
+		if i == 3 {
+			return 0, sentinel
+		}
+		return i, nil
+	})
+	for i := 0; i < 6; i++ {
+		if err := p.Submit(i); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		out, ok, err := p.Next()
+		if !ok {
+			t.Fatal("pipe ended early")
+		}
+		if i == 3 {
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("item 3: err = %v, want sentinel", err)
+			}
+			continue
+		}
+		if err != nil || out != i {
+			t.Fatalf("item %d: out=%d err=%v", i, out, err)
+		}
+	}
+	p.Close()
+	p.Wait()
+}
+
+func TestPipeInlineAbort(t *testing.T) {
+	var ran atomic.Int64
+	p := NewPipe(1, 1, func(i int) (int, error) {
+		ran.Add(1)
+		return i, nil
+	})
+	if err := p.Submit(1); err != nil {
+		t.Fatal(err)
+	}
+	p.Abort()
+	p.Abort() // idempotent
+	if err := p.Submit(2); !errors.Is(err, ErrPipeAborted) {
+		t.Fatalf("Submit after Abort = %v, want ErrPipeAborted", err)
+	}
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("fn ran %d times, want 1: an aborted Submit must not run it", got)
+	}
+	p.Close()
+	// The item submitted before Abort was already processed inline.
+	if out, ok, err := p.Next(); !ok || err != nil || out != 1 {
+		t.Fatalf("pre-abort item: out=%d ok=%v err=%v", out, ok, err)
+	}
+	if _, ok, _ := p.Next(); ok {
+		t.Fatal("aborted pipe delivered an item it refused")
+	}
+	p.Wait()
+}
+
+func TestPipeInlineDrainAfterClose(t *testing.T) {
+	p := NewPipe(1, 1, func(s string) (string, error) { return s + "!", nil })
+	if err := p.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	p.Close() // idempotent
+	if out, ok, err := p.Next(); !ok || err != nil || out != "a!" {
+		t.Fatalf("drain: out=%q ok=%v err=%v", out, ok, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok, _ := p.Next(); ok {
+			t.Fatal("Next on a closed, drained pipe must report done")
+		}
+	}
+	p.Wait()
+}
+
+func TestPipeInlineSteadyStateAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is unreliable under the race detector")
+	}
+	states := 0
+	p := NewPipeWith(1, 1,
+		func() *workerScratch { states++; return &workerScratch{} },
+		func(i int, s *workerScratch) (int, error) { s.hits++; return i, nil })
+	round := func() {
+		if err := p.Submit(7); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := p.Next(); !ok || err != nil {
+			t.Fatalf("next: ok=%v err=%v", ok, err)
+		}
+	}
+	round() // builds the state and the first job cell
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("steady-state inline Submit/Next allocates %.2f allocs/op, want 0", avg)
+	}
+	p.Close()
+	p.Wait()
+	if states != 1 {
+		t.Fatalf("newState ran %d times, want once", states)
+	}
+}
+
+func TestPipeWorkersSteadyStateAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is unreliable under the race detector")
+	}
+	p := NewPipe(2, 2, func(i int) (int, error) { return i, nil })
+	round := func() {
+		if err := p.Submit(7); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := p.Next(); !ok || err != nil {
+			t.Fatalf("next: ok=%v err=%v", ok, err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg > 0.1 {
+		t.Fatalf("steady-state Submit/Next allocates %.2f allocs/op, want ~0", avg)
+	}
+	p.Close()
+	p.Wait()
+}

@@ -368,12 +368,15 @@ func (s *Server) writeResponses(conn net.Conn, pipe *parallel.Pipe[request, resp
 		if !ok || err != nil {
 			return err
 		}
+		// Count the request before the client can see its response, so
+		// a STATS sent after receiving it already includes it, and a
+		// client that left before reading it is still counted.
+		failed := resp.status != StatusOK
+		s.stats.RequestDone(int(resp.op)-1, failed, resp.in, len(resp.payload), time.Since(resp.start))
 		buf = AppendFrame(buf[:0], Frame{Op: resp.op, Status: resp.status, Payload: resp.payload})
 		if _, err := conn.Write(buf); err != nil {
 			return err
 		}
-		failed := resp.status != StatusOK
-		s.stats.RequestDone(int(resp.op)-1, failed, resp.in, len(resp.payload), time.Since(resp.start))
 		if resp.status == StatusOversized {
 			// The request that provoked this was never fully read;
 			// the stream is done.

@@ -237,6 +237,57 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
+// TestServerCountsRequestWhoseClientLeft pins that a request is counted
+// once it is processed, not once its response is written: a client that
+// disconnects before reading its response must still show up in Stats.
+// net.Pipe makes the response write fail every time, since nobody ever
+// reads the client end.
+func TestServerCountsRequestWhoseClientLeft(t *testing.T) {
+	s := New(Config{})
+	srv, cli := net.Pipe()
+	if err := s.Serve(&oneConnListener{conn: srv, closed: make(chan struct{})}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+
+	req := AppendEncodeRequest(nil, 0, 0, []byte("count me"))
+	// net.Pipe writes return once the server has read the whole frame.
+	if _, err := cli.Write(AppendFrame(nil, Frame{Op: OpEncode, Status: StatusRequest, Payload: req})); err != nil {
+		t.Fatal(err)
+	}
+	_ = cli.Close() // gone before reading the response
+	waitFor(t, func() bool { return s.Stats().ConnsActive == 0 })
+
+	snap := s.Stats()
+	if snap.Requests != 1 || snap.Ops[0].Requests != 1 || snap.Latency.Count != 1 {
+		t.Fatalf("request whose response write failed is not counted: requests=%d encode=%d latency.count=%d",
+			snap.Requests, snap.Ops[0].Requests, snap.Latency.Count)
+	}
+}
+
+// oneConnListener hands out one connection, then blocks until closed.
+type oneConnListener struct {
+	conn   net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (l *oneConnListener) Accept() (net.Conn, error) {
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *oneConnListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *oneConnListener) Addr() net.Addr { return &net.TCPAddr{} }
+
 // TestServerOversizedFrame checks the bounded-allocation refusal: the
 // server answers with StatusOversized addressed to the right op, then
 // closes the connection.

@@ -8,9 +8,11 @@ package arc
 //
 // Chunk independence also makes the stream pipelinable: with a
 // Pipeline of n, up to n chunks are encoded (or verified/repaired)
-// concurrently while bytes are still emitted/consumed strictly in
-// order. Output is byte-identical at every pipeline setting; see
-// docs/STREAMING.md for the knob's semantics and guarantees.
+// concurrently while the calling goroutine writes or delivers them
+// strictly in order; it is always the caller that touches the
+// underlying io.Writer/io.Reader. Output is byte-identical at every
+// pipeline setting; see docs/STREAMING.md for the knob's semantics and
+// guarantees.
 
 import (
 	"io"
@@ -23,16 +25,17 @@ type StreamReport = core.Report
 
 // StreamOptions tunes chunked streaming: ChunkSize is the plaintext
 // bytes per chunk (<= 0 selects the 4 MiB default), Pipeline bounds
-// how many chunks are processed concurrently (1 = strictly sequential,
-// <= 0 = bounded by the worker budget), and Indexed appends the
-// container v2 footer index enabling ReaderAt random access (see
-// docs/CONTAINER.md).
+// how many chunks are in flight at once (1 = strictly sequential on
+// the calling goroutine, <= 0 = bounded by the worker budget), and
+// Indexed appends the container v2 footer index enabling ReaderAt
+// random access (see docs/CONTAINER.md).
 type StreamOptions = core.StreamOptions
 
 // Writer is a streaming ARC encoder. Bytes written are buffered into
 // chunks, each protected with the configuration chosen at creation,
-// and emitted to the underlying writer. Close flushes the final chunk
-// and, when pipelined, joins every in-flight encode.
+// and written to the underlying writer by Write and Close themselves:
+// a sink error surfaces from the call that hit it. Close flushes the
+// final chunk and writes every chunk still in flight.
 type Writer struct {
 	cw *core.ChunkWriter
 }

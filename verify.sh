@@ -68,6 +68,14 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
+echo "== flake gate (3 shuffled runs) =="
+# Tier-1 must pass on every run, not on most: three passes in a random
+# test order catch order-dependent and timing-dependent tests.
+go test -count=3 -shuffle=on ./...
+
+echo "== stream and range close/leak regressions (race, 5 runs) =="
+go test -race -run 'TestChunkReaderCloseRacesMidStreamError|TestPipelinedReader(CloseWithoutDrain|MidStreamErrorWinsInOrder|TruncatedInput)|TestPipelinedWriter(SinkErrorCancelsAndJoins|CloseIsTheOnlyJoinNeeded)|TestPipelineDefaultsAndSequentialFallback|TestRangeReader(CloseWithInflightLoads|Hammer)' -count=5 ./internal/core
+
 echo "== analyzer fixtures under race =="
 go test -race ./internal/analysis ./cmd/arcvet
 
