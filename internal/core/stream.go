@@ -107,10 +107,11 @@ func (cc *codecCache) get(cfg Config, workers, devSize int) (ecc.Code, error) {
 }
 
 // chunkScratch is the per-worker scratch (the inline pipe's state when
-// Pipeline is 1) a chunk encode/decode reuses across chunks: the codec memo skips the
-// shared cache's mutex in steady state, and the ecc.Scratch arena
-// holds grow-only codec workspaces (RS stripes, interleave
-// transposes). A chunkScratch is owned by exactly one goroutine.
+// Pipeline is 1) a chunk encode/decode reuses across chunks: the codec
+// memo skips the shared cache's mutex in steady state, and the
+// ecc.Scratch arena holds grow-only codec workspaces (RS stripes,
+// interleave transposes). A chunkScratch is owned by exactly one
+// goroutine.
 type chunkScratch struct {
 	memo codecMemo
 	ecc  ecc.Scratch
@@ -141,10 +142,10 @@ func (m *codecMemo) get(cc *codecCache, cfg Config, workers, devSize int) (ecc.C
 // ChunkWriter encodes fixed-size chunks of a byte stream with one
 // configuration choice and writes the containers to w.
 //
-// Write and Close are the only goroutine that touches w: full chunks
-// are submitted to pipe, whose workers protect them concurrently, and
-// once pipeline chunks are in flight the oldest is written out before
-// the next is submitted. Payload and container buffers circulate
+// Only Write and Close, on the caller's goroutine, touch w: full
+// chunks are submitted to pipe, whose workers protect them
+// concurrently, and once pipeline chunks are in flight the oldest is
+// written out. Payload and container buffers circulate
 // through chunkBufPool, so the steady state allocates nothing per
 // chunk.
 type ChunkWriter struct {
@@ -399,9 +400,9 @@ func (cw *ChunkWriter) BytesWritten() int64 { return cw.written }
 // ChunkReader decodes a stream of containers, verifying and repairing
 // each chunk as it goes.
 //
-// Read is the only goroutine that touches r: it reads encoded chunks
-// off r and submits them to pipe until pipeline chunks are in flight
-// or the input ends, then delivers the oldest repaired chunk. Payload
+// Only Read, on the caller's goroutine, touches r: it reads encoded
+// chunks off r and submits them to pipe until pipeline chunks are in
+// flight or the input ends, then delivers the oldest repaired chunk. Payload
 // and output buffers circulate through chunkBufPool.
 type ChunkReader struct {
 	r        io.Reader
