@@ -4,12 +4,11 @@ import (
 	"testing"
 )
 
-// TestIntegrityFlow seeds the three contract violations integrityflow
-// exists to catch — an unverified escape through an exported return, a
-// discarded repair report, and a cache insert ahead of any CRC — plus
-// the sanitizer paths that must stay quiet.
-func TestIntegrityFlow(t *testing.T) {
-	files := map[string]string{"p/p.go": `package p
+// integrityFlowFixture seeds the three contract violations
+// integrityflow exists to catch — an unverified escape through an
+// exported return, a discarded repair report, and a cache insert ahead
+// of any CRC — plus the sanitizer paths that must stay quiet.
+var integrityFlowFixture = map[string]string{"p/p.go": `package p
 
 import (
 	"errors"
@@ -178,6 +177,8 @@ func RequestPayload(f *Frame) []byte {
 	return f.Payload // wire bytes may cross an exported API pre-decode
 }
 `}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
+
+func TestIntegrityFlow(t *testing.T) {
+	root := writeFixture(t, integrityFlowFixture)
+	checkMarkers(t, root, integrityFlowFixture, analyze(t, root))
 }
