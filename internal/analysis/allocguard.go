@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // allocguard reports a value decoded from untrusted bytes flowing
@@ -24,33 +22,24 @@ func init() {
 }
 
 func runAllocGuard(pass *Pass) error {
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			// Test and fuzz harnesses allocate from their own inputs
-			// on purpose.
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			hooks := &taintHooks{
-				makeSize: func(pos token.Pos, origin string) {
-					pass.Reportf(pos, "make size derives from untrusted input (%s) without a bounding comparison", origin)
-				},
-				readBound: func(pos token.Pos, what, origin string) {
-					pass.Reportf(pos, "%s derives from untrusted input (%s) without a bounding comparison", what, origin)
-				},
-				loopAppend: func(pos token.Pos, origin string) {
-					pass.Reportf(pos, "append grows across a loop whose trip count derives from untrusted input (%s) without a bounding comparison", origin)
-				},
-				paramAlloc: func(pos token.Pos, callee *types.Func, origin string) {
-					pass.Reportf(pos, "untrusted value (%s) reaches an unguarded allocation inside %s", origin, callee.Name())
-				},
-			}
-			scanTaint(pass.Info, pass.Facts, fd, hooks)
-		}
+	// Test and fuzz harnesses allocate from their own inputs on
+	// purpose, so only non-test declarations are checked.
+	hooks := &taintHooks{
+		makeSize: func(pos token.Pos, origin string) {
+			pass.Reportf(pos, "make size derives from untrusted input (%s) without a bounding comparison", origin)
+		},
+		readBound: func(pos token.Pos, what, origin string) {
+			pass.Reportf(pos, "%s derives from untrusted input (%s) without a bounding comparison", what, origin)
+		},
+		loopAppend: func(pos token.Pos, origin string) {
+			pass.Reportf(pos, "append grows across a loop whose trip count derives from untrusted input (%s) without a bounding comparison", origin)
+		},
+		paramAlloc: func(pos token.Pos, callee *types.Func, origin string) {
+			pass.Reportf(pos, "untrusted value (%s) reaches an unguarded allocation inside %s", origin, callee.Name())
+		},
+	}
+	for _, d := range nonTestDecls(pass) {
+		walkTaint(pass.Info, pass.Facts, d.decl, hooks)
 	}
 	return nil
 }

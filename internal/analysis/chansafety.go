@@ -68,18 +68,10 @@ func runChanSafety(pass *Pass) error {
 
 	// Fixpoint over closes/sends facts so helper indirection (A closes
 	// the channel B passed it) converges before the check pass.
-	for round := 0; round < 5; round++ {
-		changed := false
-		for _, t := range targets {
-			fact, present := chanUseSummary(pass, t)
-			if exportOrWithdraw(pass.Facts, FuncKey(t.fn), present, fact) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	summarize(targets, func(t declTarget) bool {
+		fact, present := chanUseSummary(pass, t)
+		return exportOrWithdraw(pass.Facts, FuncKey(t.fn), present, fact)
+	})
 
 	for _, t := range targets {
 		checkChanSafety(pass, t)

@@ -224,47 +224,40 @@ func runCtxFlow(pass *Pass) error {
 	// callee's blocking is governed by its own type's protocol (e.g.
 	// a pipeline's internal drain), so wrappers above it are not
 	// holding their caller hostage.
-	flows := make([]*ctxCollect, len(targets))
-	for i, t := range targets {
-		flows[i] = ctxSyncFlow(pass, t.decl.Body)
+	flows := map[*ast.FuncDecl]*ctxCollect{}
+	for _, t := range targets {
+		flows[t.decl] = ctxSyncFlow(pass, t.decl.Body)
 	}
-	for round := 0; round < 6; round++ {
-		changed := false
-		for i, t := range targets {
-			merged := map[string]BlockSite{}
-			for _, op := range flows[i].ops {
-				merged[op.key()] = op
+	summarize(targets, func(t declTarget) bool {
+		flow := flows[t.decl]
+		merged := map[string]BlockSite{}
+		for _, op := range flow.ops {
+			merged[op.key()] = op
+		}
+		for _, call := range flow.calls {
+			callee := calleeFunc(pass.Info, call)
+			if callee == nil || funcCarriesCancel(callee) {
+				continue
 			}
-			for _, call := range flows[i].calls {
-				callee := calleeFunc(pass.Info, call)
-				if callee == nil || funcCarriesCancel(callee) {
-					continue
-				}
-				f, ok := pass.Facts.Import(callee, "ctxflow.blocks")
-				if !ok {
-					continue
-				}
-				mergeBlockSites(merged, FuncKey(callee), f.(*CtxBlockFact).Ops)
+			f, ok := pass.Facts.Import(callee, "ctxflow.blocks")
+			if !ok {
+				continue
 			}
-			present := len(merged) > 0
-			fact := &CtxBlockFact{}
-			if present {
-				for _, op := range merged {
-					fact.Ops = append(fact.Ops, op)
-				}
-				sortBlockSites(fact.Ops)
-				if len(fact.Ops) > maxCtxOps {
-					fact.Ops = fact.Ops[:maxCtxOps]
-				}
+			mergeBlockSites(merged, FuncKey(callee), f.(*CtxBlockFact).Ops)
+		}
+		present := len(merged) > 0
+		fact := &CtxBlockFact{}
+		if present {
+			for _, op := range merged {
+				fact.Ops = append(fact.Ops, op)
 			}
-			if exportOrWithdraw(pass.Facts, FuncKey(t.fn), present, fact) {
-				changed = true
+			sortBlockSites(fact.Ops)
+			if len(fact.Ops) > maxCtxOps {
+				fact.Ops = fact.Ops[:maxCtxOps]
 			}
 		}
-		if !changed {
-			break
-		}
-	}
+		return exportOrWithdraw(pass.Facts, FuncKey(t.fn), present, fact)
+	})
 
 	// Rule 1: exported, affordance-free, blocking.
 	reported := map[string]bool{}

@@ -82,43 +82,18 @@ type dwWalker struct {
 }
 
 func runDeadWait(pass *Pass) error {
-	type target struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var targets []target
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				targets = append(targets, target{fn, fd})
-			}
-		}
-	}
+	targets := nonTestDecls(pass)
 
 	// Fact rounds first so delegation chains inside the unit resolve
-	// regardless of declaration order; then one reporting pass.
+	// regardless of declaration order; then one reporting pass over
+	// the last round's walkers.
 	walkers := map[string]*dwWalker{}
-	for round := 0; round < 3; round++ {
-		changed := false
-		for _, t := range targets {
-			w := newDWWalker(pass, t.decl)
-			w.walkStmts(t.decl.Body.List, dwCtx{})
-			walkers[FuncKey(t.fn)] = w
-			if w.exportFact(t.fn) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	summarize(targets, func(t declTarget) bool {
+		w := newDWWalker(pass, t.decl)
+		w.walkStmts(t.decl.Body.List, dwCtx{})
+		walkers[FuncKey(t.fn)] = w
+		return w.exportFact(t.fn)
+	})
 	for _, t := range targets {
 		walkers[FuncKey(t.fn)].check()
 	}

@@ -197,3 +197,56 @@ func (s *FactStore) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
+
+// maxSummaryRounds bounds summarize. A unit settles within about its
+// longest intra-package call chain; the bound only stops a summary
+// that never settles.
+const maxSummaryRounds = 100
+
+// summarize recomputes every target's summary facts, with the facts
+// of the previous round visible, until a round changes none. step
+// exports one target's facts and reports whether any changed.
+// Cross-package facts are final already, since units run in
+// topological order; the rounds settle intra-package call chains,
+// whatever their declaration order, and recursion.
+func summarize(targets []declTarget, step func(declTarget) bool) {
+	for round := 0; round < maxSummaryRounds; round++ {
+		changed := false
+		for _, t := range targets {
+			if step(t) {
+				changed = true
+			}
+		}
+		if !changed {
+			return
+		}
+	}
+}
+
+// exportOrWithdraw reconciles one fact slot against the store and
+// reports whether the stored state changed.
+func exportOrWithdraw(facts *FactStore, key string, present bool, fact Fact) bool {
+	prev, had := facts.ImportKey(key, fact.FactName())
+	if !present {
+		if had {
+			facts.DeleteKey(key, fact.FactName())
+			return true
+		}
+		return false
+	}
+	if had && fmt.Sprintf("%+v", prev) == fmt.Sprintf("%+v", fact) {
+		return false
+	}
+	facts.ExportKey(key, fact)
+	return true
+}
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -18,7 +17,8 @@ import (
 // an exported API return, a service response payload, or a cache
 // insert; and a computed verification result (an ecc repair Report or
 // a verifier's error) must not be discarded while its siblings are
-// used. Helper summaries cross package boundaries as facts:
+// used. The check is the integrity policy of the def-use flow walk
+// (flow.go). Helper summaries cross package boundaries as facts:
 //
 //	integrity.verifies — the function verifies the bytes behind the
 //	    listed parameter indices before returning without error
@@ -96,328 +96,132 @@ const (
 func wireOrigin(origin string) bool { return strings.HasPrefix(origin, wireOriginPrefix) }
 
 func runIntegrityFlow(pass *Pass) error {
-	var decls []*ast.FuncDecl
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls = append(decls, fd)
-			}
-		}
-	}
-	// Summary rounds first: intra-package helper chains need a
-	// fixpoint before the reporting pass consumes their facts.
-	for round := 0; round < 4; round++ {
-		changed := false
-		for _, fd := range decls {
-			e := newIntegrityEngine(pass, fd, false)
-			if e != nil && e.summarize() {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for _, fd := range decls {
-		if e := newIntegrityEngine(pass, fd, true); e != nil {
-			e.stmts(fd.Body.List)
-		}
+	// Summaries first: intra-package helper chains need a fixpoint
+	// before the reporting pass consumes their facts.
+	targets := nonTestDecls(pass)
+	summarize(targets, func(d declTarget) bool {
+		return walkIntegrity(pass, d, false).export()
+	})
+	for _, d := range targets {
+		walkIntegrity(pass, d, true)
 	}
 	return nil
 }
 
-// integrityEngine walks one declaration tracking which root objects
-// hold unverified bytes. Verification state is per root object: once
-// buf passes a CRC check, buf.b and buf[i:j] are verified too.
-type integrityEngine struct {
+// integrityFlow is the integrity policy of the flow walk. An origin
+// marks a root object holding unverified bytes: once buf passes a CRC
+// check, buf.b and buf[i:j] are verified too.
+type integrityFlow struct {
 	pass   *Pass
 	fn     *types.Func
-	decl   *ast.FuncDecl
 	report bool
 
-	// unverified maps a root object to the origin of its bytes;
-	// verified marks roots that passed a sanitizer.
-	unverified map[types.Object]string
-	verified   map[types.Object]bool
-
-	// params maps parameter objects to their index, for VerifiesFact.
-	params         map[types.Object]int
+	// verifiedParams are the parameter indices verified in the body,
+	// for VerifiesFact.
 	verifiedParams map[int]bool
-
-	// escapeOrigin records the first unverified origin returned by an
-	// unexported function, for EscapesFact.
+	// escapeOrigin records the first unverified origin returned, for
+	// EscapesFact.
 	escapeOrigin string
-
-	// cacheRet counts enclosing cache-loader function literals whose
-	// return values are inserted into a cache.
-	cacheRet int
-
-	// reported dedups diagnostics: loop bodies are walked twice so
-	// verification state reaches the loop head.
+	// loaders are the function literals passed to a cache insert,
+	// whose return values go into the cache.
+	loaders map[*ast.FuncLit]bool
+	// reported dedups diagnostics: loop bodies are walked twice.
 	reported map[string]bool
 }
 
-func newIntegrityEngine(pass *Pass, fd *ast.FuncDecl, report bool) *integrityEngine {
-	fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	e := &integrityEngine{
+// walkIntegrity runs the integrity policy over one declaration,
+// reporting findings when report is set.
+func walkIntegrity(pass *Pass, d declTarget, report bool) *integrityFlow {
+	p := &integrityFlow{
 		pass:           pass,
-		fn:             fn,
-		decl:           fd,
+		fn:             d.fn,
 		report:         report,
-		unverified:     map[types.Object]string{},
-		verified:       map[types.Object]bool{},
-		params:         map[types.Object]int{},
 		verifiedParams: map[int]bool{},
+		loaders:        map[*ast.FuncLit]bool{},
 		reported:       map[string]bool{},
 	}
-	if sig, ok := fn.Type().(*types.Signature); ok {
-		for i := 0; i < sig.Params().Len(); i++ {
-			e.params[sig.Params().At(i)] = i
-		}
-	}
-	return e
+	newFlowWalker(pass.Info, d.decl, p, 2).stmts(d.decl.Body.List)
+	return p
 }
 
-// summarize runs the walk in summary mode and exports or withdraws
-// this function's facts, reporting whether anything changed.
-func (e *integrityEngine) summarize() bool {
-	e.stmts(e.decl.Body.List)
-	key := FuncKey(e.fn)
-	changed := false
-
-	var idx []int
-	for i := range e.verifiedParams {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	if exportOrWithdraw(e.pass.Facts, key, len(idx) > 0, &VerifiesFact{Params: idx}) {
-		changed = true
-	}
-
+// export exports or withdraws this function's facts, reporting
+// whether anything changed.
+func (p *integrityFlow) export() bool {
+	key := FuncKey(p.fn)
+	changed := exportOrWithdraw(p.pass.Facts, key, len(p.verifiedParams) > 0, &VerifiesFact{Params: sortedKeys(p.verifiedParams)})
 	// Exported functions report the escape directly; only unexported
 	// helpers summarize it for their callers.
-	escapes := e.escapeOrigin != "" && !e.fn.Exported()
-	if exportOrWithdraw(e.pass.Facts, key, escapes, &EscapesFact{Result: true, Origin: e.escapeOrigin}) {
-		changed = true
-	}
-	return changed
+	escapes := p.escapeOrigin != "" && !p.fn.Exported()
+	return exportOrWithdraw(p.pass.Facts, key, escapes, &EscapesFact{Result: true, Origin: p.escapeOrigin}) || changed
 }
 
-func (e *integrityEngine) reportf(pos token.Pos, format string, args ...any) {
-	if !e.report {
+func (p *integrityFlow) reportf(pos token.Pos, format string, args ...any) {
+	if !p.report {
 		return
 	}
 	key := fmt.Sprintf("%d:%s", pos, fmt.Sprintf(format, args...))
-	if e.reported[key] {
+	if p.reported[key] {
 		return
 	}
-	e.reported[key] = true
-	e.pass.Reportf(pos, format, args...)
+	p.reported[key] = true
+	p.pass.Reportf(pos, format, args...)
 }
 
-func (e *integrityEngine) markUnverified(obj types.Object, origin string) {
-	if obj == nil || origin == "" {
+// verify marks the bytes behind x as verified.
+func (p *integrityFlow) verify(w *flowWalker, x ast.Expr) {
+	root := rootObjOf(w.info, x)
+	if root == nil {
 		return
 	}
-	delete(e.verified, obj)
-	e.unverified[obj] = origin
+	delete(w.origin, root)
+	if i, ok := w.params[root]; ok {
+		p.verifiedParams[i] = true
+	}
 }
 
-func (e *integrityEngine) markVerified(obj types.Object) {
-	if obj == nil {
+func (*integrityFlow) bound(*flowWalker, ast.Expr, ast.Expr, string) string { return "" }
+
+// returned applies the exported-API sink, the cache-insert sink
+// (inside a cache loader literal), and records escapes for helper
+// summaries.
+func (p *integrityFlow) returned(w *flowWalker, r ast.Expr, o string) {
+	if o == "" || !isByteishExpr(w.info, r) {
 		return
 	}
-	delete(e.unverified, obj)
-	e.verified[obj] = true
-	if i, ok := e.params[obj]; ok {
-		e.verifiedParams[i] = true
+	if p.loaders[w.lit] {
+		p.reportf(r.Pos(), "unverified %s inserted into cache; verify integrity before caching", o)
+		return
+	}
+	if p.fn.Exported() && !wireOrigin(o) {
+		p.reportf(r.Pos(), "unverified %s returned from exported %s; verify (CRC compare or checked decode) before returning", o, p.fn.Name())
+	}
+	if p.escapeOrigin == "" {
+		p.escapeOrigin = o
 	}
 }
 
-// ---- statement walk ----
-
-func (e *integrityEngine) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		e.stmt(s)
-	}
-}
-
-func (e *integrityEngine) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		e.assign(s)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						e.assignTo(name, e.expr(vs.Values[i]), vs.Values[i])
-					}
-				}
-			}
-		}
-	case *ast.ExprStmt:
-		e.expr(s.X)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		e.expr(s.Cond)
-		e.condVerify(s.Cond)
-		e.stmts(s.Body.List)
-		if s.Else != nil {
-			e.stmt(s.Else)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			e.expr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, x := range cc.List {
-					e.expr(x)
-					e.condVerify(x)
-				}
-				e.stmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		e.stmt(s.Assign)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				e.stmts(cc.Body)
-			}
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			e.expr(s.Cond)
-			e.condVerify(s.Cond)
-		}
-		if s.Post != nil {
-			e.stmt(s.Post)
-		}
-		// Two passes so state reaching the loop tail feeds the head.
-		e.stmts(s.Body.List)
-		e.stmts(s.Body.List)
-	case *ast.RangeStmt:
-		o := e.expr(s.X)
-		if s.Value != nil {
-			e.assignTo(s.Value, o, s.X)
-		}
-		e.stmts(s.Body.List)
-		e.stmts(s.Body.List)
-	case *ast.BlockStmt:
-		e.stmts(s.List)
-	case *ast.ReturnStmt:
-		e.ret(s)
-	case *ast.DeferStmt:
-		e.expr(s.Call)
-	case *ast.GoStmt:
-		e.expr(s.Call)
-	case *ast.SendStmt:
-		e.expr(s.Chan)
-		e.expr(s.Value)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					e.stmt(cc.Comm)
-				}
-				e.stmts(cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		e.stmt(s.Stmt)
-	case *ast.IncDecStmt:
-		e.expr(s.X)
-	}
-}
-
-// ret handles return statements: the exported-API sink, the
-// cache-insert sink (when inside a cache loader literal), and escape
-// summaries for unexported helpers.
-func (e *integrityEngine) ret(s *ast.ReturnStmt) {
-	for _, r := range s.Results {
-		o := e.expr(r)
-		if o == "" || !isByteishExpr(e.pass.Info, r) {
-			continue
-		}
-		if e.cacheRet > 0 {
-			e.reportf(r.Pos(), "unverified %s inserted into cache; verify integrity before caching", o)
-			continue
-		}
-		if e.fn.Exported() && !wireOrigin(o) {
-			e.reportf(r.Pos(), "unverified %s returned from exported %s; verify (CRC compare or checked decode) before returning", o, e.fn.Name())
-		}
-		if e.escapeOrigin == "" {
-			e.escapeOrigin = o
-		}
-	}
-}
-
-// assign handles the verifier/drop logic for call assignments, the
-// response-payload sink, and plain propagation.
-func (e *integrityEngine) assign(s *ast.AssignStmt) {
-	if len(s.Rhs) == 1 {
-		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
-			e.callAssign(s, call)
-			return
-		}
-	}
-	for i, rhs := range s.Rhs {
-		o := e.expr(rhs)
-		if i < len(s.Lhs) {
-			e.assignTo(s.Lhs[i], o, rhs)
-		}
-	}
-}
-
-// callAssign processes `lhs... := call(...)`: discarded verification
-// results, verifier sanitization, and escape-fact propagation.
-func (e *integrityEngine) callAssign(s *ast.AssignStmt, call *ast.CallExpr) {
-	o := e.expr(call) // walks args, applies sources/sinks inside
-	callee := calleeFunc(e.pass.Info, call)
+// bind applies the checks of `lhs... := call(...)`: discarded
+// verification results and verifier sanitization.
+func (p *integrityFlow) bind(w *flowWalker, lhs []ast.Expr, call *ast.CallExpr, o string) string {
+	callee := calleeFunc(w.info, call)
 	if callee == nil {
-		for _, lhs := range s.Lhs {
-			e.assignTo(lhs, o, call)
-		}
-		return
+		return o
 	}
-	sig, _ := callee.Type().(*types.Signature)
-	results := sig.Results()
+	results := callee.Type().(*types.Signature).Results()
 
 	// Discarded verification results. Only multi-result assignments
 	// with at least one used value count: a lone `_ = f()` is an
 	// explicit opt-out, and `f()` alone is uncheckederr's business.
-	if e.report && len(s.Lhs) >= 2 && len(s.Lhs) == results.Len() && hasNonBlank(s.Lhs) {
+	if p.report && len(lhs) >= 2 && len(lhs) == results.Len() && hasNonBlank(lhs) {
 		for i := 0; i < results.Len(); i++ {
-			if !isBlank(s.Lhs[i]) {
+			if !isBlank(lhs[i]) {
 				continue
 			}
 			rt := results.At(i).Type()
 			if named, ok := derefType(rt).(*types.Named); ok && named.Obj().Name() == "Report" {
-				e.reportf(s.Lhs[i].Pos(), "repair report from %s is discarded; silent-correction counts must be surfaced or the discard waived with a justification", callee.Name())
+				p.reportf(lhs[i].Pos(), "repair report from %s is discarded; silent-correction counts must be surfaced or the discard waived with a justification", callee.Name())
 			} else if isErrorType(rt) && isVerifierName(callee.Name()) {
-				e.reportf(s.Lhs[i].Pos(), "error from verifier %s is discarded while its other results are used; a failed verification must not go unnoticed", callee.Name())
+				p.reportf(lhs[i].Pos(), "error from verifier %s is discarded while its other results are used; a failed verification must not go unnoticed", callee.Name())
 			}
 		}
 	}
@@ -431,230 +235,131 @@ func (e *integrityEngine) callAssign(s *ast.AssignStmt, call *ast.CallExpr) {
 			break
 		}
 	}
-	errBound := errIdx < 0 || (errIdx < len(s.Lhs) && !isBlank(s.Lhs[errIdx]))
-	if errBound {
-		if f, ok := e.pass.Facts.ImportKey(FuncKey(callee), "integrity.verifies"); ok {
-			for _, p := range f.(*VerifiesFact).Params {
-				if p < len(call.Args) {
-					e.markVerified(rootObjOf(e.pass.Info, call.Args[p]))
-				}
-			}
-			o = ""
-		} else if isVerifierName(callee.Name()) {
-			for _, a := range call.Args {
-				if isByteishExpr(e.pass.Info, a) {
-					e.markVerified(rootObjOf(e.pass.Info, a))
-				}
-			}
-			o = ""
-		}
+	if errIdx >= 0 && (errIdx >= len(lhs) || isBlank(lhs[errIdx])) {
+		return o
 	}
-	for _, lhs := range s.Lhs {
-		e.assignTo(lhs, o, call)
+	if f, ok := p.pass.Facts.ImportKey(FuncKey(callee), "integrity.verifies"); ok {
+		for _, i := range f.(*VerifiesFact).Params {
+			if i < len(call.Args) {
+				p.verify(w, call.Args[i])
+			}
+		}
+		return ""
+	}
+	if isVerifierName(callee.Name()) {
+		for _, a := range call.Args {
+			if isByteishExpr(w.info, a) {
+				p.verify(w, a)
+			}
+		}
+		return ""
+	}
+	return o
+}
+
+// store applies the response-payload sink: resp.payload = <unverified
+// bytes>.
+func (p *integrityFlow) store(w *flowWalker, lhs, rhs ast.Expr, o string) {
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok || o == "" || !strings.EqualFold(sel.Sel.Name, "payload") || !isByteishExpr(w.info, rhs) {
+		return
+	}
+	if tn := namedTypeName(w.info, sel.X); strings.Contains(strings.ToLower(tn), "response") {
+		p.reportf(lhs.Pos(), "unverified %s assigned to %s payload; verify integrity before building the response", o, tn)
 	}
 }
 
-// assignTo records origin o flowing into the lhs expression. rhs is
-// the source expression, used for the byte-ish gate at sinks.
-func (e *integrityEngine) assignTo(lhs ast.Expr, o string, rhs ast.Expr) {
-	if isBlank(lhs) {
-		return
-	}
-	// Response-payload sink: resp.payload = <unverified bytes>.
-	if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && o != "" && isByteishExpr(e.pass.Info, rhs) {
-		if strings.EqualFold(sel.Sel.Name, "payload") {
-			if tn := namedTypeName(e.pass.Info, sel.X); strings.Contains(strings.ToLower(tn), "response") {
-				e.reportf(lhs.Pos(), "unverified %s assigned to %s payload; verify integrity before building the response", o, tn)
-			}
-		}
-	}
-	root := rootObjOf(e.pass.Info, lhs)
-	if root == nil {
-		return
-	}
-	if o != "" {
-		e.markUnverified(root, o)
-	} else if _, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-		// A whole-variable overwrite with clean data resets state;
-		// partial writes (buf[i] = x) keep the root's prior state.
-		delete(e.unverified, root)
-		delete(e.verified, root)
-	}
-}
-
-// condVerify scans a condition for CRC/checksum comparisons: a
-// `computed == expected` (or !=) where one side calls a checksum
-// function verifies that call's byte arguments.
-func (e *integrityEngine) condVerify(cond ast.Expr) {
+// guard scans a condition for CRC/checksum comparisons: a `computed
+// == expected` (or !=) where one side calls a checksum function
+// verifies that call's byte arguments.
+func (p *integrityFlow) guard(w *flowWalker, cond ast.Expr) {
 	ast.Inspect(cond, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 			return true
 		}
-		for _, side := range []ast.Expr{be.X, be.Y} {
-			ast.Inspect(side, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeFunc(e.pass.Info, call)
-				if callee == nil || !isChecksumName(callee.Name()) {
-					return true
-				}
+		ast.Inspect(be, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if callee := calleeFunc(w.info, call); callee != nil && isChecksumName(callee.Name()) {
 				for _, a := range call.Args {
-					if isByteishExpr(e.pass.Info, a) {
-						e.markVerified(rootObjOf(e.pass.Info, a))
+					if isByteishExpr(w.info, a) {
+						p.verify(w, a)
 					}
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 		return true
 	})
 }
 
-// ---- expression walk ----
-
-// expr walks x and returns the origin of the unverified bytes it
-// evaluates to ("" when clean or not byte-carrying).
-func (e *integrityEngine) expr(x ast.Expr) string {
-	switch x := ast.Unparen(x).(type) {
-	case *ast.Ident:
-		if obj := e.pass.Info.Uses[x]; obj != nil {
-			return e.unverified[obj]
-		}
-		return ""
-	case *ast.SelectorExpr:
-		if o := e.frameSource(x); o != "" {
-			return o
-		}
-		return e.expr(x.X)
-	case *ast.IndexExpr:
-		e.expr(x.Index)
-		return e.expr(x.X)
-	case *ast.SliceExpr:
-		for _, b := range []ast.Expr{x.Low, x.High, x.Max} {
-			if b != nil {
-				e.expr(b)
-			}
-		}
-		return e.expr(x.X)
-	case *ast.StarExpr:
-		return e.expr(x.X)
-	case *ast.UnaryExpr:
-		return e.expr(x.X)
-	case *ast.BinaryExpr:
-		a := e.expr(x.X)
-		b := e.expr(x.Y)
-		if a != "" {
-			return a
-		}
-		return b
-	case *ast.CallExpr:
-		return e.call(x)
-	case *ast.CompositeLit:
-		var origin string
-		for _, el := range x.Elts {
-			var o string
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				o = e.expr(kv.Value)
-			} else {
-				o = e.expr(el)
-			}
-			if origin == "" {
-				origin = o
-			}
-		}
-		return origin
-	case *ast.KeyValueExpr:
-		return e.expr(x.Value)
-	case *ast.TypeAssertExpr:
-		return e.expr(x.X)
-	case *ast.FuncLit:
-		// A literal not attached to a cache insert: analyze its body
-		// with the cache sink disabled.
-		saved := e.cacheRet
-		e.cacheRet = 0
-		e.stmts(x.Body.List)
-		e.cacheRet = saved
-		return ""
+// field recognizes `f.Payload` on a wire Frame as a wire-class
+// source.
+func (p *integrityFlow) field(w *flowWalker, sel *ast.SelectorExpr) string {
+	if sel.Sel.Name == "Payload" && namedTypeName(w.info, sel.X) == "Frame" {
+		return wireOriginPrefix + " from frame payload"
 	}
 	return ""
 }
 
 // call handles sources (abstract ReadAt), sinks (cache inserts), and
 // propagation through escape facts and builtins.
-func (e *integrityEngine) call(call *ast.CallExpr) string {
-	// Builtins first: copy propagates, append/conversion combine.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && isBuiltin(e.pass.Info, id) {
-		switch id.Name {
-		case "copy":
-			if len(call.Args) == 2 {
-				if o := e.expr(call.Args[1]); o != "" {
-					e.markUnverified(rootObjOf(e.pass.Info, call.Args[0]), o)
-				}
-				e.expr(call.Args[0])
-			}
-			return ""
-		case "append":
-			var origin string
-			for _, a := range call.Args {
-				if o := e.expr(a); origin == "" {
-					origin = o
+func (p *integrityFlow) call(w *flowWalker, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && isBuiltin(w.info, id) {
+		origin := ""
+		for i, a := range call.Args {
+			o := w.expr(a)
+			origin = combineOrigin(origin, o)
+			// copy moves the source's bytes into the destination.
+			if id.Name == "copy" && i == 1 && o != "" {
+				if dst := rootObjOf(w.info, call.Args[0]); dst != nil {
+					w.origin[dst] = o
 				}
 			}
-			return origin
-		default:
-			for _, a := range call.Args {
-				e.expr(a)
-			}
-			return ""
 		}
+		if id.Name == "append" {
+			return origin
+		}
+		return ""
 	}
 
-	// Type conversion []byte(x) etc: propagate the operand.
-	if tv, ok := e.pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		return e.expr(call.Args[0])
-	}
+	callee := calleeFunc(w.info, call)
 
-	callee := calleeFunc(e.pass.Info, call)
-
-	// Cache-insert sink: literals passed to GetOrLoad have their
-	// return values inserted; direct byte args to cache mutators too.
-	if callee != nil && e.isCacheInsert(callee, call) {
+	// Cache-insert sink: a literal passed to GetOrLoad has its return
+	// values inserted; so do byte arguments to cache mutators.
+	if callee != nil && isCacheInsert(callee) {
 		for _, a := range call.Args {
 			if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
-				e.cacheRet++
-				e.stmts(lit.Body.List)
-				e.cacheRet--
-				continue
+				p.loaders[lit] = true
 			}
-			o := e.expr(a)
-			if o != "" && isByteishExpr(e.pass.Info, a) {
-				e.reportf(a.Pos(), "unverified %s inserted into cache; verify integrity before caching", o)
+			if o := w.expr(a); o != "" && isByteishExpr(w.info, a) {
+				p.reportf(a.Pos(), "unverified %s inserted into cache; verify integrity before caching", o)
 			}
 		}
 		return ""
 	}
 
 	for _, a := range call.Args {
-		e.expr(a)
+		w.expr(a)
 	}
 
 	// Source: ReadAt through an interface fills its buffer with
 	// unverified storage bytes. Concrete ReadAt implementations (e.g.
 	// *RangeReader) verify internally and are not sources.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "ReadAt" && len(call.Args) == 2 {
-		if tv, ok := e.pass.Info.Types[sel.X]; ok && tv.Type != nil && types.IsInterface(tv.Type) {
-			e.markUnverified(rootObjOf(e.pass.Info, call.Args[0]),
-				storageOriginPrefix+" read via ReaderAt.ReadAt")
+		if tv, ok := w.info.Types[sel.X]; ok && tv.Type != nil && types.IsInterface(tv.Type) {
+			if buf := rootObjOf(w.info, call.Args[0]); buf != nil {
+				w.origin[buf] = storageOriginPrefix + " read via ReaderAt.ReadAt"
+			}
 		}
 	}
 
 	if callee != nil {
-		if f, ok := e.pass.Facts.ImportKey(FuncKey(callee), "integrity.escapes"); ok {
-			ef := f.(*EscapesFact)
-			if ef.Result {
+		if f, ok := p.pass.Facts.ImportKey(FuncKey(callee), "integrity.escapes"); ok {
+			if ef := f.(*EscapesFact); ef.Result {
 				return fmt.Sprintf("%s (via %s)", ef.Origin, callee.Name())
 			}
 		}
@@ -662,29 +367,16 @@ func (e *integrityEngine) call(call *ast.CallExpr) string {
 	return ""
 }
 
-// frameSource recognizes `f.Payload` on a wire Frame as a wire-class
-// source.
-func (e *integrityEngine) frameSource(sel *ast.SelectorExpr) string {
-	if sel.Sel.Name != "Payload" {
-		return ""
-	}
-	if namedTypeName(e.pass.Info, sel.X) == "Frame" {
-		return wireOriginPrefix + " from frame payload"
-	}
-	return ""
-}
-
 // isCacheInsert recognizes calls that place bytes into a cache: a
 // GetOrLoad-style loader, or Add/Put/Insert/Store on a *Cache* type.
-func (e *integrityEngine) isCacheInsert(callee *types.Func, call *ast.CallExpr) bool {
+func isCacheInsert(callee *types.Func) bool {
 	sig, _ := callee.Type().(*types.Signature)
 	if sig == nil || sig.Recv() == nil {
 		return false
 	}
-	if callee.Name() == "GetOrLoad" {
-		return true
-	}
 	switch callee.Name() {
+	case "GetOrLoad":
+		return true
 	case "Add", "Put", "Insert", "Store":
 		return strings.Contains(derefTypeName(sig.Recv().Type()), "Cache")
 	}
@@ -692,11 +384,6 @@ func (e *integrityEngine) isCacheInsert(callee *types.Func, call *ast.CallExpr) 
 }
 
 // ---- small type helpers ----
-
-func isBlank(x ast.Expr) bool {
-	id, ok := ast.Unparen(x).(*ast.Ident)
-	return ok && id.Name == "_"
-}
 
 func hasNonBlank(list []ast.Expr) bool {
 	for _, x := range list {

@@ -278,6 +278,38 @@ func TestPanicFact(t *testing.T) {
 	checkMarkers(t, root, panicFactFixture, analyze(t, root))
 }
 
+// TestPanicFactDeepChain reaches a panic seven same-package calls
+// below a decoder whose helpers are declared caller-first, so every
+// summary round lifts the may-panic fact only one level: the fact
+// must reach DecodeDeep however many rounds that takes.
+func TestPanicFactDeepChain(t *testing.T) {
+	files := map[string]string{"deep/deep.go": `package deep
+
+func DecodeDeep(n int) int { return h1(n) }
+
+func h1(n int) int { return h2(n) + 1 }
+
+func h2(n int) int { return h3(n) + 1 }
+
+func h3(n int) int { return h4(n) + 1 }
+
+func h4(n int) int { return h5(n) + 1 }
+
+func h5(n int) int { return h6(n) + 1 }
+
+func h6(n int) int { return h7(n) + 1 }
+
+func h7(n int) int {
+	if n < 0 {
+		panic("negative") // want panicfact
+	}
+	return n
+}
+`}
+	root := writeFixture(t, files)
+	checkMarkers(t, root, files, analyze(t, root))
+}
+
 // TestWaiverStatementSpan proves the satellite fix: a directive on
 // the first line of a multi-line statement (or the line above it)
 // waives findings reported on the statement's continuation lines,

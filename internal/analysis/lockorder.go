@@ -171,32 +171,18 @@ type loWalker struct {
 func runLockOrder(pass *Pass) error {
 	targets := nonTestDecls(pass)
 
-	// Fixpoint: each round recomputes every function's summary with
-	// the facts of the previous round visible, so intra-package call
-	// chains (helper locks → caller blocks) converge. Cross-package
-	// facts are final already thanks to topological unit order. The
-	// deepest repo chain (custom codec build under the cache lock) is
-	// four calls; eight rounds leaves headroom.
-	for round := 0; round < 8; round++ {
-		changed := false
-		for _, t := range targets {
-			w := &loWalker{pass: pass, sum: newLoSummary(), sync: true, body: t.decl.Body}
-			w.walkBody(t.decl.Body)
-			w.finishBody()
-			key := FuncKey(t.fn)
-			fact, present := w.sum.fact()
-			if present {
-				if exportOrWithdraw(pass.Facts, key, true, fact) {
-					changed = true
-				}
-			} else if exportOrWithdraw(pass.Facts, key, false, &LockOrderFact{}) {
-				changed = true
-			}
+	// Summaries first, so intra-package call chains (helper locks →
+	// caller blocks) converge.
+	summarize(targets, func(t declTarget) bool {
+		w := &loWalker{pass: pass, sum: newLoSummary(), sync: true, body: t.decl.Body}
+		w.walkBody(t.decl.Body)
+		w.finishBody()
+		fact, present := w.sum.fact()
+		if !present {
+			fact = &LockOrderFact{}
 		}
-		if !changed {
-			break
-		}
-	}
+		return exportOrWithdraw(pass.Facts, FuncKey(t.fn), present, fact)
+	})
 
 	// Report pass: walk once more with diagnostics enabled.
 	for _, t := range targets {

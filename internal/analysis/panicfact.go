@@ -58,25 +58,7 @@ func init() {
 }
 
 func runPanicFact(pass *Pass) error {
-	type target struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var targets []target
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				targets = append(targets, target{fn, fd})
-			}
-		}
-	}
+	targets := nonTestDecls(pass)
 
 	// Local panic sources per function.
 	local := map[string][]PanicSite{}
@@ -88,61 +70,50 @@ func runPanicFact(pass *Pass) error {
 		local[key] = localPanicSites(pass, t.decl)
 	}
 
-	// Fixpoint: merge callee facts (cross-package facts are already
-	// final thanks to topological unit order; the iteration handles
-	// intra-package call chains and recursion).
-	for round := 0; round < 6; round++ {
-		changed := false
-		for _, t := range targets {
-			key := FuncKey(t.fn)
-			node := pass.Graph.Node(key)
-			if node == nil || node.HasRecover {
+	// Merge callee facts into each function's own sources.
+	summarize(targets, func(t declTarget) bool {
+		key := FuncKey(t.fn)
+		node := pass.Graph.Node(key)
+		if node == nil || node.HasRecover {
+			return false
+		}
+		merged := map[string]PanicSite{}
+		for _, s := range local[key] {
+			merged[s.key()] = s
+		}
+		for _, callee := range node.Callees {
+			f, ok := pass.Facts.ImportKey(callee, "panicfact.maypanic")
+			if !ok {
 				continue
 			}
-			merged := map[string]PanicSite{}
-			for _, s := range local[key] {
-				merged[s.key()] = s
-			}
-			for _, callee := range node.Callees {
-				f, ok := pass.Facts.ImportKey(callee, "panicfact.maypanic")
-				if !ok {
-					continue
+			for _, s := range f.(*MayPanicFact).Sources {
+				via := calleeShortName(callee)
+				if s.Via != "" {
+					via += " → " + s.Via
 				}
-				for _, s := range f.(*MayPanicFact).Sources {
-					via := calleeShortName(callee)
-					if s.Via != "" {
-						via += " → " + s.Via
-					}
-					if len(via) > 120 {
-						via = via[:120]
-					}
-					ns := s
-					ns.Via = via
-					if _, dup := merged[ns.key()]; !dup {
-						merged[ns.key()] = ns
-					}
+				if len(via) > 120 {
+					via = via[:120]
+				}
+				ns := s
+				ns.Via = via
+				if _, dup := merged[ns.key()]; !dup {
+					merged[ns.key()] = ns
 				}
 			}
-			if len(merged) == 0 {
-				continue
-			}
-			sites := make([]PanicSite, 0, len(merged))
-			for _, s := range merged {
-				sites = append(sites, s)
-			}
-			sortPanicSites(sites)
-			if len(sites) > maxPanicSites {
-				sites = sites[:maxPanicSites]
-			}
-			fact := &MayPanicFact{Sources: sites}
-			if exportOrWithdraw(pass.Facts, key, true, fact) {
-				changed = true
-			}
 		}
-		if !changed {
-			break
+		if len(merged) == 0 {
+			return false
 		}
-	}
+		sites := make([]PanicSite, 0, len(merged))
+		for _, s := range merged {
+			sites = append(sites, s)
+		}
+		sortPanicSites(sites)
+		if len(sites) > maxPanicSites {
+			sites = sites[:maxPanicSites]
+		}
+		return exportOrWithdraw(pass.Facts, key, true, &MayPanicFact{Sources: sites})
+	})
 	return nil
 }
 
@@ -173,7 +144,7 @@ func localPanicSites(pass *Pass, decl *ast.FuncDecl) []PanicSite {
 		return true
 	})
 	// Tainted index/slice bounds via the shared taint walk.
-	scanTaint(pass.Info, pass.Facts, decl, &taintHooks{
+	walkTaint(pass.Info, pass.Facts, decl, &taintHooks{
 		index: func(pos token.Pos, origin string) {
 			addSite(pos, "index/slice bound from untrusted input ("+origin+")")
 		},

@@ -169,32 +169,33 @@ func RunWith(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options)
 		spans.merge(unitSpans)
 		badDiags = append(badDiags, bad...)
 
+		var unitDiags []Diagnostic
+		unitPass := Pass{
+			Fset:    loader.Fset,
+			Files:   unit.Files,
+			Pkg:     unit.Pkg,
+			Info:    unit.Info,
+			PkgPath: unit.Path,
+			Facts:   res.Facts,
+			Graph:   res.Graph,
+			diags:   &unitDiags,
+		}
 		var ops []factOp
 		res.Facts.setJournal(&ops)
-		summarizeUnitTaint(loader.Fset, unit, res.Facts)
+		summarizeUnitTaint(&unitPass)
 
 		ug := &CallGraph{nodes: map[string]*CGNode{}}
 		ug.addUnits(loader.Fset, []*Unit{unit}, extraTypes)
 		res.Graph.mergeLive(ug)
 		res.Graph.finalize()
 
-		var unitDiags []Diagnostic
 		for _, a := range analyzers {
 			if !a.AppliesTo(unit.Path) {
 				continue
 			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     loader.Fset,
-				Files:    unit.Files,
-				Pkg:      unit.Pkg,
-				Info:     unit.Info,
-				PkgPath:  unit.Path,
-				Facts:    res.Facts,
-				Graph:    res.Graph,
-				diags:    &unitDiags,
-			}
-			if err := a.Run(pass); err != nil {
+			pass := unitPass
+			pass.Analyzer = a
+			if err := a.Run(&pass); err != nil {
 				res.Facts.setJournal(nil)
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, unit.Path, err)
 			}

@@ -1,23 +1,21 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
-// This file is the def-use/taint core shared by the interprocedural
-// analyzers. Within one function it walks statements in order,
-// tracking which objects carry values decoded from untrusted bytes
-// (wire sources: encoding/binary reads, bitio bit reads, huffman
-// symbol decodes). A comparison in an if or switch condition
-// sanitizes the compared objects — the analyzers flag *unguarded*
-// flows, and any explicit bound check is taken as the guard. Calls
-// are summarized through three fact kinds so taint crosses function
-// and package boundaries without a global data-flow pass:
+// This file is the taint policy of the flow walk (flow.go), shared by
+// allocguard and panicfact. It tracks which objects carry values
+// decoded from untrusted bytes (wire sources: encoding/binary reads,
+// bitio bit reads, huffman symbol decodes). A comparison in an if or
+// switch condition sanitizes the compared objects — the analyzers
+// flag *unguarded* flows, and any explicit bound check is taken as
+// the guard. Calls are summarized through three fact kinds so taint
+// crosses function and package boundaries without a global data-flow
+// pass:
 //
 //   - taint.result: the callee's results derive from wire bytes
 //   - taint.ptrargs: the callee writes wire bytes through these
@@ -84,38 +82,6 @@ type taintHooks struct {
 	paramAlloc func(pos token.Pos, callee *types.Func, origin string)
 }
 
-const paramOriginPrefix = "\x00param#"
-
-func paramOrigin(i int) string { return fmt.Sprintf("%s%d", paramOriginPrefix, i) }
-
-func isParamOrigin(o string) (int, bool) {
-	if !strings.HasPrefix(o, paramOriginPrefix) {
-		return 0, false
-	}
-	i, err := strconv.Atoi(strings.TrimPrefix(o, paramOriginPrefix))
-	if err != nil {
-		return 0, false
-	}
-	return i, true
-}
-
-// combineOrigin joins two taint origins, preferring a concrete wire
-// origin over a parameter-derived one so reports name the source.
-func combineOrigin(a, b string) string {
-	if a == "" {
-		return b
-	}
-	if b == "" {
-		return a
-	}
-	if _, ap := isParamOrigin(a); ap {
-		if _, bp := isParamOrigin(b); !bp {
-			return b
-		}
-	}
-	return a
-}
-
 // viaOrigin extends a summarized origin with the callee it crossed.
 func viaOrigin(base, callee string) string {
 	o := base + " via " + callee
@@ -125,795 +91,299 @@ func viaOrigin(base, callee string) string {
 	return o
 }
 
-// taintEngine walks one function.
-type taintEngine struct {
-	info  *types.Info
+// taintFlow is the taint policy of the flow walk. Sources are wire
+// reads (wireSource) and summarized callees; a comparison in an if or
+// switch condition sanitizes the compared objects; sinks fire the
+// hooks.
+type taintFlow struct {
 	facts *FactStore
 	hooks *taintHooks
-
-	tainted map[types.Object]string
-	// loopOrigins is the stack of tainted loop-trip origins enclosing
-	// the current statement.
-	loopOrigins []string
-
-	// Summary-mode state (hooks == nil): params are pre-tainted with
-	// param origins and the walk records what escapes where.
-	paramObjs   map[types.Object]int
-	resultObjs  []types.Object
+	// summary is set while computing this function's facts: parameters
+	// then carry param origins and the walk records what escapes where.
+	summary     bool
 	retOrigin   string
 	ptrParams   map[int]string
 	allocParams map[int]bool
 }
 
-func newTaintEngine(info *types.Info, facts *FactStore, hooks *taintHooks) *taintEngine {
-	return &taintEngine{
-		info:        info,
+// walkTaint runs the taint policy over one declaration. With nil
+// hooks it runs in summary mode.
+func walkTaint(info *types.Info, facts *FactStore, decl *ast.FuncDecl, hooks *taintHooks) *taintFlow {
+	t := &taintFlow{
 		facts:       facts,
 		hooks:       hooks,
-		tainted:     map[types.Object]string{},
-		paramObjs:   map[types.Object]int{},
+		summary:     hooks == nil,
 		ptrParams:   map[int]string{},
 		allocParams: map[int]bool{},
 	}
-}
-
-// scanTaint runs the reporting walk over one declared function,
-// firing hooks at unguarded sinks.
-func scanTaint(info *types.Info, facts *FactStore, decl *ast.FuncDecl, hooks *taintHooks) {
-	e := newTaintEngine(info, facts, hooks)
-	e.stmts(decl.Body.List)
+	if t.summary {
+		t.hooks = &taintHooks{}
+	}
+	w := newFlowWalker(info, decl, t, 1)
+	if t.summary {
+		// Parameters carry their index so the walk discovers
+		// param-to-sink and param-to-result flows.
+		for obj, i := range w.params {
+			w.origin[obj] = paramOrigin(i)
+		}
+	}
+	w.stmts(decl.Body.List)
+	return t
 }
 
 // summarizeUnitTaint computes and exports the three summary fact
 // kinds for every non-test function of the unit, iterating to a
 // fixpoint so intra-package call chains summarize regardless of
 // declaration order.
-func summarizeUnitTaint(fset *token.FileSet, unit *Unit, facts *FactStore) {
-	type target struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var targets []target
-	for _, file := range unit.Files {
-		if strings.HasSuffix(fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := unit.Info.Defs[fd.Name].(*types.Func); ok {
-				targets = append(targets, target{fn, fd})
-			}
-		}
-	}
-	for round := 0; round < 4; round++ {
-		changed := false
-		for _, t := range targets {
-			if summarizeFunc(unit.Info, facts, t.fn, t.decl) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-// summarizeFunc runs one summary walk and (re-)exports the resulting
-// facts, reporting whether anything changed.
-func summarizeFunc(info *types.Info, facts *FactStore, fn *types.Func, decl *ast.FuncDecl) bool {
-	e := newTaintEngine(info, facts, nil)
-
-	// Pre-taint parameters with their indices so the walk discovers
-	// param-to-sink and param-to-result flows.
-	idx := 0
-	for _, field := range decl.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := info.Defs[name]; obj != nil {
-				e.paramObjs[obj] = idx
-				e.tainted[obj] = paramOrigin(idx)
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-	if decl.Type.Results != nil {
-		for _, field := range decl.Type.Results.List {
-			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil {
-					e.resultObjs = append(e.resultObjs, obj)
-				}
-			}
-		}
-	}
-	e.stmts(decl.Body.List)
-
-	key := FuncKey(fn)
-	changed := false
-	changed = exportOrWithdraw(facts, key, e.retOrigin != "", &UntrustedResultFact{Origin: e.retOrigin}) || changed
-	if len(e.ptrParams) > 0 {
-		var params []int
+func summarizeUnitTaint(pass *Pass) {
+	summarize(nonTestDecls(pass), func(d declTarget) bool {
+		t := walkTaint(pass.Info, pass.Facts, d.decl, nil)
+		key := FuncKey(d.fn)
+		ptrParams := sortedKeys(t.ptrParams)
 		origin := ""
-		for i, o := range e.ptrParams {
-			params = append(params, i)
-			origin = combineOrigin(origin, o)
+		for _, i := range ptrParams {
+			origin = combineOrigin(origin, t.ptrParams[i])
 		}
-		sortInts(params)
-		changed = exportOrWithdraw(facts, key, true, &TaintsPtrArgsFact{Params: params, Origin: origin}) || changed
-	} else {
-		changed = exportOrWithdraw(facts, key, false, &TaintsPtrArgsFact{}) || changed
-	}
-	if len(e.allocParams) > 0 {
-		var params []int
-		for i := range e.allocParams {
-			params = append(params, i)
-		}
-		sortInts(params)
-		changed = exportOrWithdraw(facts, key, true, &ParamAllocFact{Params: params}) || changed
-	} else {
-		changed = exportOrWithdraw(facts, key, false, &ParamAllocFact{}) || changed
-	}
-	return changed
+		changed := exportOrWithdraw(pass.Facts, key, t.retOrigin != "", &UntrustedResultFact{Origin: t.retOrigin})
+		changed = exportOrWithdraw(pass.Facts, key, len(ptrParams) > 0, &TaintsPtrArgsFact{Params: ptrParams, Origin: origin}) || changed
+		return exportOrWithdraw(pass.Facts, key, len(t.allocParams) > 0, &ParamAllocFact{Params: sortedKeys(t.allocParams)}) || changed
+	})
 }
 
-// exportOrWithdraw reconciles one fact slot against the store and
-// reports whether the stored state changed.
-func exportOrWithdraw(facts *FactStore, key string, present bool, fact Fact) bool {
-	prev, had := facts.ImportKey(key, fact.FactName())
-	if !present {
-		if had {
-			facts.DeleteKey(key, fact.FactName())
-			return true
-		}
-		return false
-	}
-	if had && fmt.Sprintf("%+v", prev) == fmt.Sprintf("%+v", fact) {
-		return false
-	}
-	facts.ExportKey(key, fact)
-	return true
+func (*taintFlow) bind(_ *flowWalker, _ []ast.Expr, _ *ast.CallExpr, o string) string {
+	return o
 }
 
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
+func (*taintFlow) field(*flowWalker, *ast.SelectorExpr) string { return "" }
 
-// ---- statement walk ----
+func (*taintFlow) store(_ *flowWalker, _, _ ast.Expr, _ string) {}
 
-func (e *taintEngine) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		e.stmt(s)
-	}
-}
-
-func (e *taintEngine) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		e.expr(s.X)
-	case *ast.AssignStmt:
-		e.assignStmt(s)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					o := ""
-					if i < len(vs.Values) {
-						o = e.expr(vs.Values[i])
-					} else if len(vs.Values) == 1 {
-						o = e.expr(vs.Values[0])
-					}
-					e.taintIdent(name, o)
-				}
-			}
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		e.expr(s.Cond)
-		e.sanitizeCond(s.Cond)
-		e.stmts(s.Body.List)
-		if s.Else != nil {
-			e.stmt(s.Else)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			e.expr(s.Tag)
-			e.sanitizeCond(s.Tag)
-		}
-		for _, clause := range s.Body.List {
-			cc := clause.(*ast.CaseClause)
-			for _, c := range cc.List {
-				e.expr(c)
-				if s.Tag == nil {
-					e.sanitizeCond(c)
-				}
-			}
-			e.stmts(cc.Body)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		e.stmt(s.Assign)
-		for _, clause := range s.Body.List {
-			e.stmts(clause.(*ast.CaseClause).Body)
-		}
-	case *ast.SelectStmt:
-		for _, clause := range s.Body.List {
-			cc := clause.(*ast.CommClause)
-			if cc.Comm != nil {
-				e.stmt(cc.Comm)
-			}
-			e.stmts(cc.Body)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		loopOrigin := ""
-		if s.Cond != nil {
-			loopOrigin = e.taintedCondOrigin(s.Cond)
-			e.expr(s.Cond)
-		}
-		if loopOrigin != "" {
-			e.loopOrigins = append(e.loopOrigins, loopOrigin)
-		}
-		e.stmts(s.Body.List)
-		if s.Post != nil {
-			e.stmt(s.Post)
-		}
-		if loopOrigin != "" {
-			e.loopOrigins = e.loopOrigins[:len(e.loopOrigins)-1]
-		}
-	case *ast.RangeStmt:
-		o := e.expr(s.X)
-		overInt := false
-		if tv, ok := e.info.Types[s.X]; ok && tv.Type != nil {
-			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-				overInt = true
-			}
-		}
-		if s.Key != nil {
-			ko := ""
-			if overInt {
-				ko = o
-			}
-			e.assignTo(s.Key, ko)
-		}
-		if s.Value != nil {
-			e.assignTo(s.Value, o)
-		}
-		if overInt && o != "" {
-			e.loopOrigins = append(e.loopOrigins, o)
-			e.stmts(s.Body.List)
-			e.loopOrigins = e.loopOrigins[:len(e.loopOrigins)-1]
-		} else {
-			e.stmts(s.Body.List)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			e.noteReturn(e.expr(r))
-		}
-		if len(s.Results) == 0 {
-			for _, obj := range e.resultObjs {
-				e.noteReturn(e.tainted[obj])
-			}
-		}
-	case *ast.GoStmt:
-		e.expr(s.Call)
-	case *ast.DeferStmt:
-		e.expr(s.Call)
-	case *ast.SendStmt:
-		e.expr(s.Chan)
-		e.expr(s.Value)
-	case *ast.IncDecStmt:
-		e.expr(s.X)
-	case *ast.BlockStmt:
-		e.stmts(s.List)
-	case *ast.LabeledStmt:
-		e.stmt(s.Stmt)
-	}
-}
-
-func (e *taintEngine) noteReturn(origin string) {
-	if origin == "" {
-		return
-	}
-	if _, isParam := isParamOrigin(origin); isParam {
+func (t *taintFlow) returned(_ *flowWalker, _ ast.Expr, o string) {
+	if _, isParam := isParamOrigin(o); o == "" || isParam {
 		return // returning a parameter is not untrusted by itself
 	}
-	e.retOrigin = combineOrigin(e.retOrigin, origin)
+	t.retOrigin = combineOrigin(t.retOrigin, o)
 }
 
-func (e *taintEngine) assignStmt(s *ast.AssignStmt) {
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		o := e.expr(s.Rhs[0])
-		for _, l := range s.Lhs {
-			e.assignTo(l, o)
-		}
-		return
-	}
-	for i, r := range s.Rhs {
-		o := e.expr(r)
-		if i >= len(s.Lhs) {
-			continue
-		}
-		if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
-			e.assignTo(s.Lhs[i], o)
-		} else if o != "" {
-			// Compound assignment only ever adds taint.
-			e.assignTo(s.Lhs[i], o)
-		}
-	}
-}
-
-// assignTo propagates taint into an assignment target. Storing into
-// an element or field of a container taints the whole container
-// (coarse, but sound for the bound-check policy); a plain identifier
-// assignment replaces its taint, so reassigning from a clean value
-// launders.
-func (e *taintEngine) assignTo(l ast.Expr, origin string) {
-	switch l := ast.Unparen(l).(type) {
-	case *ast.Ident:
-		e.taintIdent(l, origin)
-	case *ast.IndexExpr, *ast.SelectorExpr, *ast.StarExpr:
-		if origin == "" {
-			return
-		}
-		if root := e.rootObj(l); root != nil {
-			e.tainted[root] = combineOrigin(e.tainted[root], origin)
-		}
-	}
-}
-
-func (e *taintEngine) taintIdent(id *ast.Ident, origin string) {
-	if id.Name == "_" {
-		return
-	}
-	obj := e.info.Defs[id]
-	if obj == nil {
-		obj = e.info.Uses[id]
-	}
-	if obj == nil {
-		return
-	}
-	if origin == "" {
-		delete(e.tainted, obj)
-		return
-	}
-	e.tainted[obj] = origin
-}
-
-// rootObj resolves the base identifier of a selector/index/deref
-// chain (h.EncLen -> h, buf[i] -> buf).
-func (e *taintEngine) rootObj(x ast.Expr) types.Object {
-	return rootObjOf(e.info, x)
-}
-
-// rootObjOf is the shared walk behind taintEngine.rootObj, also used
-// by integrityflow's verification-state engine.
-func rootObjOf(info *types.Info, x ast.Expr) types.Object {
-	for {
-		switch v := ast.Unparen(x).(type) {
-		case *ast.Ident:
-			if obj := info.Uses[v]; obj != nil {
-				if _, isPkg := obj.(*types.PkgName); isPkg {
-					return nil
-				}
-				return obj
-			}
-			return info.Defs[v]
-		case *ast.SelectorExpr:
-			x = v.X
-		case *ast.IndexExpr:
-			x = v.X
-		case *ast.StarExpr:
-			x = v.X
-		case *ast.UnaryExpr:
-			if v.Op != token.AND {
-				return nil
-			}
-			x = v.X
-		case *ast.SliceExpr:
-			x = v.X
-		default:
-			return nil
-		}
-	}
-}
-
-// sanitizeCond clears taint from every object that participates in a
+// guard clears the taint of every object that takes part in a
 // comparison inside cond: an explicit check against anything is taken
 // as the bound the analyzers ask for.
-func (e *taintEngine) sanitizeCond(cond ast.Expr) {
+func (t *taintFlow) guard(w *flowWalker, cond ast.Expr) {
 	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		switch be.Op {
-		case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
-			e.clearTaintIn(be.X)
-			e.clearTaintIn(be.Y)
+		if be, ok := n.(*ast.BinaryExpr); ok {
+			switch be.Op {
+			case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
+				clearTaintIn(w, be.X)
+				clearTaintIn(w, be.Y)
+			}
 		}
 		return true
 	})
 	// A switch tag is an implicit equality comparison.
 	if _, ok := cond.(*ast.BinaryExpr); !ok {
-		e.clearTaintIn(cond)
+		clearTaintIn(w, cond)
 	}
 }
 
-func (e *taintEngine) clearTaintIn(x ast.Expr) {
+func clearTaintIn(w *flowWalker, x ast.Expr) {
 	ast.Inspect(x, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			obj := e.info.Uses[id]
-			if obj == nil {
-				obj = e.info.Defs[id]
-			}
-			if obj != nil {
-				delete(e.tainted, obj)
-			}
+			delete(w.origin, w.objOf(id))
 		}
 		return true
 	})
 }
 
-// taintedCondOrigin reports the origin of a tainted operand used in a
-// comparison inside a loop condition (`i < n` with tainted n), which
-// marks the loop as running a wire-controlled number of iterations.
-func (e *taintEngine) taintedCondOrigin(cond ast.Expr) string {
-	origin := ""
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			obj := e.info.Uses[id]
-			if obj == nil {
-				obj = e.info.Defs[id]
-			}
-			if obj != nil {
-				if o, ok := e.tainted[obj]; ok {
-					if _, isParam := isParamOrigin(o); !isParam {
-						origin = combineOrigin(origin, o)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return origin
-}
-
-// ---- expression walk ----
-
-// expr walks x, firing sink hooks, and returns its taint origin ("" =
-// clean).
-func (e *taintEngine) expr(x ast.Expr) string {
-	switch x := x.(type) {
-	case nil:
-		return ""
-	case *ast.Ident:
-		obj := e.info.Uses[x]
-		if obj == nil {
-			obj = e.info.Defs[x]
-		}
-		if obj != nil {
-			return e.tainted[obj]
-		}
-		return ""
-	case *ast.ParenExpr:
-		return e.expr(x.X)
-	case *ast.CallExpr:
-		return e.call(x)
-	case *ast.BinaryExpr:
-		lo := e.expr(x.X)
-		ro := e.expr(x.Y)
-		switch x.Op {
-		case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ,
-			token.LAND, token.LOR:
-			return "" // booleans carry no size
-		case token.AND, token.REM:
-			// x & mask and x % modulus with a constant operand are
-			// bounding idioms.
-			if _, isConst := constInt(e.info, x.X); isConst {
-				return ""
-			}
-			if _, isConst := constInt(e.info, x.Y); isConst {
-				return ""
-			}
-		}
-		return combineOrigin(lo, ro)
-	case *ast.UnaryExpr:
-		return e.expr(x.X)
-	case *ast.StarExpr:
-		return e.expr(x.X)
-	case *ast.SelectorExpr:
-		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-			if _, isPkg := e.info.Uses[id].(*types.PkgName); isPkg {
-				return ""
-			}
-		}
-		return e.expr(x.X)
-	case *ast.IndexExpr:
-		xo := e.expr(x.X)
-		io := e.expr(x.Index)
-		if io != "" {
-			e.fireIndex(x.Index.Pos(), x.X, io)
-		}
-		return combineOrigin(xo, io)
-	case *ast.IndexListExpr:
-		return e.expr(x.X)
-	case *ast.SliceExpr:
-		xo := e.expr(x.X)
-		for _, b := range []ast.Expr{x.Low, x.High, x.Max} {
-			if b == nil {
-				continue
-			}
-			if bo := e.expr(b); bo != "" {
-				e.fireIndex(b.Pos(), x.X, bo)
-			}
-		}
-		return xo
-	case *ast.CompositeLit:
-		origin := ""
-		for _, elt := range x.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			origin = combineOrigin(origin, e.expr(elt))
-		}
-		return origin
-	case *ast.TypeAssertExpr:
-		return e.expr(x.X)
-	case *ast.FuncLit:
-		e.stmts(x.Body.List)
-		return ""
-	}
-	return ""
-}
-
-// fireIndex reports a tainted index/slice bound unless the indexed
+// bound reports a tainted index or slice bound unless the indexed
 // container is a map (map reads cannot panic or allocate).
-func (e *taintEngine) fireIndex(pos token.Pos, container ast.Expr, origin string) {
-	if e.hooks == nil || e.hooks.index == nil {
-		return
-	}
-	if _, isParam := isParamOrigin(origin); isParam {
-		return
-	}
-	if tv, ok := e.info.Types[container]; ok && tv.Type != nil {
-		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-			return
+func (t *taintFlow) bound(w *flowWalker, container, b ast.Expr, o string) string {
+	if _, isParam := isParamOrigin(o); !isParam && t.hooks.index != nil {
+		if tv, ok := w.info.Types[container]; !ok || tv.Type == nil || !isMap(tv.Type) {
+			t.hooks.index(b.Pos(), o)
 		}
 	}
-	e.hooks.index(pos, origin)
+	return o
 }
 
-func (e *taintEngine) call(call *ast.CallExpr) string {
-	// Conversions propagate their operand's taint: int(rd.u32()) is
-	// just as untrusted as the u32.
-	if tv, ok := e.info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 {
-			return e.expr(call.Args[0])
-		}
-		return ""
-	}
+func isMap(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+func (t *taintFlow) call(w *flowWalker, call *ast.CallExpr) string {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := e.info.Uses[id].(*types.Builtin); ok {
-			return e.builtinCall(b.Name(), call)
+		if b, ok := w.info.Uses[id].(*types.Builtin); ok {
+			return t.builtin(w, b.Name(), call)
 		}
 	}
-	callee := calleeFunc(e.info, call)
+	callee := calleeFunc(w.info, call)
 
 	// io read bounds get a custom walk so slice-bound taint is seen
 	// in context.
 	if callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "io" {
 		switch callee.Name() {
 		case "ReadFull", "ReadAtLeast":
-			if o := e.handleIOReadBuf(call); o != "" {
-				return ""
-			}
+			t.readBuf(w, call)
 			return ""
 		case "CopyN":
 			for i, a := range call.Args {
-				o := e.expr(a)
-				if i == 2 && o != "" {
-					e.fireReadBound(a.Pos(), "io.CopyN byte count", o)
+				if o := w.expr(a); i == 2 && o != "" {
+					t.readBound(a.Pos(), "io.CopyN byte count", o)
 				}
 			}
 			return ""
 		}
 	}
 
-	// Generic argument walk with per-argument origins.
 	origins := make([]string, len(call.Args))
 	for i, a := range call.Args {
-		origins[i] = e.expr(a)
+		origins[i] = w.expr(a)
 	}
-
 	if callee == nil {
 		return ""
 	}
 
 	// binary.Read writes wire bytes through its data pointer.
 	if pkg := callee.Pkg(); pkg != nil && pkg.Path() == "encoding/binary" && callee.Name() == "Read" && len(call.Args) == 3 {
-		e.taintPointee(call.Args[2], "encoding/binary.Read")
+		t.taintPointee(w, call.Args[2], "encoding/binary.Read")
 		return ""
 	}
-
 	if origin, ok := wireSource(callee); ok {
 		return origin
 	}
 
 	// Summarized callees.
-	if f, ok := e.facts.Import(callee, "taint.ptrargs"); ok {
+	if f, ok := t.facts.Import(callee, "taint.ptrargs"); ok {
 		fact := f.(*TaintsPtrArgsFact)
 		for _, idx := range fact.Params {
-			for _, a := range e.argsForParam(callee, call, idx) {
-				e.taintPointee(a, viaOrigin(fact.Origin, callee.Name()))
+			lo, hi := paramArgs(callee, len(call.Args), idx)
+			for _, a := range call.Args[lo:hi] {
+				t.taintPointee(w, a, viaOrigin(fact.Origin, callee.Name()))
 			}
 		}
 	}
-	if f, ok := e.facts.Import(callee, "taint.paramalloc"); ok {
-		fact := f.(*ParamAllocFact)
-		for _, idx := range fact.Params {
-			for _, a := range e.argsForParam(callee, call, idx) {
-				if i := argIndex(call, a); i >= 0 && origins[i] != "" {
-					if pi, isParam := isParamOrigin(origins[i]); isParam {
-						e.allocParams[pi] = true
-					} else if e.hooks != nil && e.hooks.paramAlloc != nil {
-						e.hooks.paramAlloc(a.Pos(), callee, origins[i])
-					}
+	if f, ok := t.facts.Import(callee, "taint.paramalloc"); ok {
+		for _, idx := range f.(*ParamAllocFact).Params {
+			lo, hi := paramArgs(callee, len(call.Args), idx)
+			for i := lo; i < hi; i++ {
+				if origins[i] == "" {
+					continue
+				}
+				if pi, isParam := isParamOrigin(origins[i]); isParam {
+					t.allocParams[pi] = true
+				} else if t.hooks.paramAlloc != nil {
+					t.hooks.paramAlloc(call.Args[i].Pos(), callee, origins[i])
 				}
 			}
 		}
 	}
-	if f, ok := e.facts.Import(callee, "taint.result"); ok {
-		fact := f.(*UntrustedResultFact)
-		return viaOrigin(fact.Origin, callee.Name())
+	if f, ok := t.facts.Import(callee, "taint.result"); ok {
+		return viaOrigin(f.(*UntrustedResultFact).Origin, callee.Name())
 	}
 	return ""
 }
 
-func argIndex(call *ast.CallExpr, a ast.Expr) int {
-	for i, arg := range call.Args {
-		if arg == a {
-			return i
-		}
-	}
-	return -1
-}
-
-// argsForParam maps a callee parameter index to the call arguments
-// that feed it, folding the variadic tail.
-func (e *taintEngine) argsForParam(callee *types.Func, call *ast.CallExpr, idx int) []ast.Expr {
+// paramArgs returns the index range [lo, hi) of the call arguments
+// that feed callee parameter idx, folding the variadic tail.
+func paramArgs(callee *types.Func, nargs, idx int) (lo, hi int) {
 	sig, ok := callee.Type().(*types.Signature)
 	if !ok {
-		return nil
+		return 0, 0
 	}
 	n := sig.Params().Len()
 	if sig.Variadic() && idx == n-1 {
-		if len(call.Args) < n {
-			return nil
+		if nargs < n {
+			return 0, 0
 		}
-		return call.Args[n-1:]
+		return n - 1, nargs
 	}
-	if idx < len(call.Args) {
-		return call.Args[idx : idx+1]
+	if idx < nargs {
+		return idx, idx + 1
 	}
-	return nil
+	return 0, 0
 }
 
 // taintPointee taints the object behind a pointer argument (&x or a
 // pointer-typed variable), recording a ptr-param summary when the
 // pointer itself derives from a parameter.
-func (e *taintEngine) taintPointee(a ast.Expr, origin string) {
-	root := e.rootObj(a)
+func (t *taintFlow) taintPointee(w *flowWalker, a ast.Expr, origin string) {
+	root := rootObjOf(w.info, a)
 	if root == nil {
 		return
 	}
-	if prev, ok := e.tainted[root]; ok {
-		if idx, isParam := isParamOrigin(prev); isParam {
-			e.ptrParams[idx] = combineOrigin(e.ptrParams[idx], origin)
-			return
-		}
+	idx, isParam := isParamOrigin(w.origin[root])
+	if !isParam && t.summary {
+		idx, isParam = w.params[root]
 	}
-	if idx, isParam := e.paramObjs[root]; isParam {
-		e.ptrParams[idx] = combineOrigin(e.ptrParams[idx], origin)
+	if isParam {
+		t.ptrParams[idx] = combineOrigin(t.ptrParams[idx], origin)
 		return
 	}
-	e.tainted[root] = combineOrigin(e.tainted[root], origin)
+	w.join(root, origin)
 }
 
-func (e *taintEngine) builtinCall(name string, call *ast.CallExpr) string {
+func (t *taintFlow) builtin(w *flowWalker, name string, call *ast.CallExpr) string {
 	switch name {
 	case "make":
 		for _, a := range call.Args[1:] {
-			if o := e.expr(a); o != "" {
+			if o := w.expr(a); o != "" {
 				if pi, isParam := isParamOrigin(o); isParam {
-					e.allocParams[pi] = true
-				} else if e.hooks != nil && e.hooks.makeSize != nil {
-					e.hooks.makeSize(a.Pos(), o)
+					t.allocParams[pi] = true
+				} else if t.hooks.makeSize != nil {
+					t.hooks.makeSize(a.Pos(), o)
 				}
 			}
 		}
 		return ""
-	case "append":
-		origin := ""
-		for _, a := range call.Args {
-			origin = combineOrigin(origin, e.expr(a))
-		}
-		if len(e.loopOrigins) > 0 && e.hooks != nil && e.hooks.loopAppend != nil {
-			e.hooks.loopAppend(call.Pos(), e.loopOrigins[len(e.loopOrigins)-1])
-		}
-		return origin
-	case "len", "cap":
+	case "len", "cap", "min":
 		// The length of an existing object is bounded by the memory
-		// already backing it — reading it launders taint.
-		e.expr(call.Args[0])
-		return ""
-	case "min":
-		// min(tainted, cap) is the bounding idiom.
+		// already backing it, and min(tainted, cap) is the bounding
+		// idiom: both launder taint.
 		for _, a := range call.Args {
-			e.expr(a)
+			w.expr(a)
 		}
 		return ""
-	default:
-		origin := ""
-		for _, a := range call.Args {
-			origin = combineOrigin(origin, e.expr(a))
-		}
-		if name == "panic" || name == "copy" || name == "clear" || name == "delete" || name == "print" || name == "println" {
-			return ""
-		}
-		return origin
 	}
+	origin := ""
+	for _, a := range call.Args {
+		origin = combineOrigin(origin, w.expr(a))
+	}
+	switch name {
+	case "append":
+		if n := len(w.loops); n > 0 && t.hooks.loopAppend != nil {
+			t.hooks.loopAppend(call.Pos(), w.loops[n-1])
+		}
+	case "panic", "copy", "clear", "delete", "print", "println":
+		return ""
+	}
+	return origin
 }
 
-func (e *taintEngine) handleIOReadBuf(call *ast.CallExpr) string {
+// readBuf walks io.ReadFull/io.ReadAtLeast, reporting tainted bounds
+// of the buffer being read into.
+func (t *taintFlow) readBuf(w *flowWalker, call *ast.CallExpr) {
 	for i, a := range call.Args {
-		if i == 1 {
-			if s, ok := ast.Unparen(a).(*ast.SliceExpr); ok {
-				e.expr(s.X)
-				for _, b := range []ast.Expr{s.Low, s.High, s.Max} {
-					if b == nil {
-						continue
-					}
-					if o := e.expr(b); o != "" {
-						e.fireReadBound(b.Pos(), "io read buffer bound", o)
-					}
-				}
+		s, ok := ast.Unparen(a).(*ast.SliceExpr)
+		if i != 1 || !ok {
+			w.expr(a)
+			continue
+		}
+		w.expr(s.X)
+		for _, b := range []ast.Expr{s.Low, s.High, s.Max} {
+			if b == nil {
 				continue
 			}
+			if o := w.expr(b); o != "" {
+				t.readBound(b.Pos(), "io read buffer bound", o)
+			}
 		}
-		e.expr(a)
 	}
-	return ""
 }
 
-func (e *taintEngine) fireReadBound(pos token.Pos, what, origin string) {
-	if e.hooks == nil || e.hooks.readBound == nil {
-		return
+func (t *taintFlow) readBound(pos token.Pos, what, origin string) {
+	if _, isParam := isParamOrigin(origin); !isParam && t.hooks.readBound != nil {
+		t.hooks.readBound(pos, what, origin)
 	}
-	if _, isParam := isParamOrigin(origin); isParam {
-		return
-	}
-	e.hooks.readBound(pos, what, origin)
 }
 
 // wireSource designates the calls whose results are untrusted wire
