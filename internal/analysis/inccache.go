@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"time"
 )
 
 // The incremental cache stores, per package directory, everything a
@@ -139,12 +142,31 @@ func scanDir(loader *Loader, abs string) (*dirInfo, error) {
 
 // ---- key derivation ----
 
+// buildIdentity names the running analyzer build by a digest of its
+// executable, so a rebuilt arcvet (say, with a changed analyzer) never
+// replays findings or facts that another build cached. A build that
+// cannot read itself gets an identity of its own, sharing no entries.
+var buildIdentity = sync.OnceValue(func() string {
+	if exe, err := os.Executable(); err == nil {
+		if f, err := os.Open(exe); err == nil {
+			defer func() { _ = f.Close() }() // read-only; nothing to flush
+			h := sha256.New()
+			if _, err := io.Copy(h, f); err == nil {
+				return hex.EncodeToString(h.Sum(nil))
+			}
+		}
+	}
+	return fmt.Sprintf("unidentified build, pid %d at %d", os.Getpid(), time.Now().UnixNano())
+})
+
 // cacheHeader hashes everything that invalidates the whole cache at
-// once: the entry schema, the toolchain and platform, the analyzer
-// set, and go.mod (module path and language version shape loading).
+// once: the entry schema, the analyzer build, the toolchain and
+// platform, the analyzer set, and go.mod (module path and language
+// version shape loading).
 func cacheHeader(loader *Loader, analyzers []*Analyzer) string {
 	h := sha256.New()
 	_, _ = fmt.Fprintln(h, cacheSchema)
+	_, _ = fmt.Fprintln(h, buildIdentity())
 	_, _ = fmt.Fprintln(h, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 	names := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {
