@@ -15,12 +15,10 @@
 // "./..." (the default) expanding recursively. Findings print as
 // file:line:col: [analyzer] message, sorted by (file, line, col,
 // analyzer) across all packages; -format json emits the same ordering
-// as a machine-readable array (-json is a shorthand), and -format
-// sarif emits a SARIF 2.1.0 log suitable for GitHub code scanning
-// upload. -analyzers restricts the run to a comma-separated subset
-// (-only is an older spelling of the same flag). Exit status is 0
-// when clean, 1 when findings are reported, and 2 on usage or load
-// errors.
+// as a machine-readable array, and -format sarif emits a SARIF 2.1.0
+// log suitable for GitHub code scanning upload. -analyzers restricts
+// the run to a comma-separated subset. Exit status is 0 when clean, 1
+// when findings are reported, and 2 on usage or load errors.
 //
 // -cache-dir enables the incremental fact cache: packages whose
 // content key (own sources plus transitive module-local imports) is
@@ -105,10 +103,8 @@ func say(w io.Writer, format string, args ...any) {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("arcvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "shorthand for -format json")
 	format := fs.String("format", "", "output format: text (default), json, or sarif")
-	only := fs.String("only", "", "comma-separated analyzers to run (default: all)")
-	subset := fs.String("analyzers", "", "comma-separated analyzers to run (default: all)")
+	names := fs.String("analyzers", "", "comma-separated analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list registered analyzers and exit")
 	cacheDir := fs.String("cache-dir", "", "directory for the incremental fact cache (empty: no caching)")
 	waiverCheck := fs.Bool("waivercheck", false, "report stale //arcvet:ignore directives (requires the full analyzer set)")
@@ -128,28 +124,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		say(stderr, "arcvet: unknown format %q (want text, json, or sarif)\n", *format)
 		return 2
 	}
-	if *jsonOut {
-		if *format != "" && *format != "json" {
-			say(stderr, "arcvet: -json conflicts with -format %s\n", *format)
-			return 2
-		}
-		*format = "json"
-	}
-	names := *subset
-	if *only != "" {
-		if names != "" && names != *only {
-			say(stderr, "arcvet: -only and -analyzers disagree; pass one\n")
-			return 2
-		}
-		names = *only
-	}
-	analyzers, err := analysis.ByName(names)
+	analyzers, err := analysis.ByName(*names)
 	if err != nil {
 		say(stderr, "arcvet: %v\n", err)
 		return 2
 	}
-	if *waiverCheck && names != "" {
-		say(stderr, "arcvet: -waivercheck requires the full analyzer set; drop -analyzers/-only\n")
+	if *waiverCheck && *names != "" {
+		say(stderr, "arcvet: -waivercheck requires the full analyzer set; drop -analyzers\n")
 		return 2
 	}
 	cwd, err := os.Getwd()

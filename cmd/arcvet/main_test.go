@@ -17,17 +17,15 @@ func TestRunExitCodes(t *testing.T) {
 		want int
 	}{
 		{"list", []string{"-list"}, 0},
-		{"unknown analyzer", []string{"-only", "nosuch"}, 2},
-		{"unknown analyzers flag value", []string{"-analyzers", "nosuch"}, 2},
+		{"unknown analyzer", []string{"-analyzers", "nosuch"}, 2},
+		{"unknown analyzers flag value", []string{"-analyzers", "bitwidth,nosuch"}, 2},
 		{"unknown flag", []string{"-bogus"}, 2},
 		{"unknown format", []string{"-format", "xml"}, 2},
-		{"json conflicts with sarif", []string{"-json", "-format", "sarif"}, 2},
-		{"only and analyzers disagree", []string{"-only", "bitwidth", "-analyzers", "deadwait"}, 2},
 		{"waivercheck with subset", []string{"-waivercheck", "-analyzers", "bitwidth", "."}, 2},
-		{"waivercheck with only", []string{"-waivercheck", "-only", "bitwidth", "."}, 2},
+		{"waivercheck with only", []string{"-waivercheck", "-analyzers", "uncheckederr", "."}, 2},
 		// The driver's own directory must be clean, via all renderers.
-		{"self text", []string{"-only", "uncheckederr", "."}, 0},
-		{"self json", []string{"-json", "-only", "bitwidth", "."}, 0},
+		{"self text", []string{"-analyzers", "uncheckederr", "."}, 0},
+		{"self json", []string{"-format", "json", "-analyzers", "bitwidth", "."}, 0},
 		{"self sarif", []string{"-format", "sarif", "-analyzers", "lockorder,chansafety,ctxflow", "."}, 0},
 	}
 	for _, tc := range cases {
