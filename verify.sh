@@ -37,12 +37,6 @@ go run ./cmd/benchmeta arcvet /tmp/arcvet_cold.json /tmp/arcvet_warm.json > BENC
 rm -rf "$arcvet_cache"
 echo "wrote BENCH_arcvet.json"
 
-echo "== arcvet self-analysis =="
-/tmp/arcvet_verify ./internal/analysis ./cmd/arcvet
-
-echo "== arcvet concurrency contracts =="
-/tmp/arcvet_verify -analyzers lockorder,chansafety,ctxflow ./...
-
 echo "== govulncheck =="
 if command -v govulncheck >/dev/null 2>&1; then
     govulncheck ./...
