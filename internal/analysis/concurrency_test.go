@@ -2,14 +2,13 @@ package analysis_test
 
 import "testing"
 
-// TestLockOrder seeds one true positive per lockorder finding kind:
+// lockOrderFixture seeds one true positive per lockorder finding kind:
 // a lock-order cycle across two functions (reported at the first
 // edge by the Finish phase), a recursive acquisition, a blocking
 // operation while a mutex is held (locally, through a callee's
 // fact, through a lock helper that returns holding, and past a
 // deferred unlock), plus clean shapes that must stay silent.
-func TestLockOrder(t *testing.T) {
-	files := map[string]string{"lo/lo.go": `package lo
+var lockOrderFixture = map[string]string{"lo/lo.go": `package lo
 
 import "sync"
 
@@ -82,18 +81,20 @@ func unlockBeforeWait(ch chan int) int {
 	return <-ch
 }
 `}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
+
+// TestLockOrder checks the findings lockOrderFixture marks.
+func TestLockOrder(t *testing.T) {
+	root := writeFixture(t, lockOrderFixture)
+	checkMarkers(t, root, lockOrderFixture, analyze(t, root))
 }
 
-// TestChanSafety seeds each chansafety finding kind: send and close
+// chanSafetyFixture seeds each chansafety finding kind: send and close
 // after a reachable close, a consumer-side close, a send hidden
 // behind a method call on a value whose Close was already called
 // (the Pipe "Submit after Close" shape, via closes/sends facts), an
 // unbounded loop spawn, and a select no producer can ever fire —
 // next to the bounded/guarded variants that must stay silent.
-func TestChanSafety(t *testing.T) {
-	files := map[string]string{"cs/cs.go": `package cs
+var chanSafetyFixture = map[string]string{"cs/cs.go": `package cs
 
 type queue struct {
 	jobs chan int
@@ -179,19 +180,21 @@ func bufferedSendSelect() {
 	}
 }
 `}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
+
+// TestChanSafety checks the findings chanSafetyFixture marks.
+func TestChanSafety(t *testing.T) {
+	root := writeFixture(t, chanSafetyFixture)
+	checkMarkers(t, root, chanSafetyFixture, analyze(t, root))
 }
 
-// TestCtxFlow seeds each ctxflow finding kind: an exported API that
+// ctxFlowFixture seeds each ctxflow finding kind: an exported API that
 // blocks with no cancellation affordance (directly and through an
 // unexported helper's fact), a goroutine spinning in an
 // uncancellable loop, a context stored in a struct field, and a
 // context-taking function whose cancellation never reaches the
 // goroutine it spawns. Affordance-carrying and signal-watching
 // variants must stay silent.
-func TestCtxFlow(t *testing.T) {
-	files := map[string]string{"cf/cf.go": `package cf
+var ctxFlowFixture = map[string]string{"cf/cf.go": `package cf
 
 import "context"
 
@@ -240,8 +243,11 @@ func serveOK(ctx context.Context, n *int) {
 	}()
 }
 `}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
+
+// TestCtxFlow checks the findings ctxFlowFixture marks.
+func TestCtxFlow(t *testing.T) {
+	root := writeFixture(t, ctxFlowFixture)
+	checkMarkers(t, root, ctxFlowFixture, analyze(t, root))
 }
 
 // TestConcurrencyWaiverSpans proves the multi-line waiver contract

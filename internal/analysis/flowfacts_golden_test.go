@@ -8,21 +8,27 @@ import (
 	"testing"
 )
 
-// flowFactKinds are the summaries the def-use flow walk exports: the
-// taint policy's three kinds and the integrity policy's two.
+// flowFactKinds are the summaries the walks export: the def-use flow
+// walk's taint (three kinds) and integrity (two) policies, and the
+// four concurrency analyzers' summaries.
 var flowFactKinds = map[string]bool{
 	"taint.result":       true,
 	"taint.ptrargs":      true,
 	"taint.paramalloc":   true,
 	"integrity.verifies": true,
 	"integrity.escapes":  true,
+	"lockorder.summary":  true,
+	"chansafety.chanuse": true,
+	"deadwait.effects":   true,
+	"ctxflow.blocks":     true,
 }
 
-// TestFlowFactsGolden pins the flow summaries, not only the findings
-// they lead to, over the allocguard and integrityflow fixture trees:
-// a change to the flow walk must leave every exported fact of these
-// kinds byte-identical, or update the golden file deliberately (go
-// test ./internal/analysis -run FlowFactsGolden -update).
+// TestFlowFactsGolden pins the walks' summaries, not only the findings
+// they lead to, over the allocguard, integrityflow, lockorder,
+// chansafety, ctxflow and deadwait fixture trees: a change to a walk
+// must leave every exported fact of these kinds byte-identical, or
+// update the golden file deliberately (go test ./internal/analysis
+// -run FlowFactsGolden -update).
 func TestFlowFactsGolden(t *testing.T) {
 	type fact struct {
 		Func string          `json:"func"`
@@ -35,14 +41,22 @@ func TestFlowFactsGolden(t *testing.T) {
 	}{
 		{"allocguard", allocGuardFixture},
 		{"integrityflow", integrityFlowFixture},
+		{"lockorder", lockOrderFixture},
+		{"chansafety", chanSafetyFixture},
+		{"ctxflow", ctxFlowFixture},
+		{"deadwait", deadWaitFixture},
 	}
 	got := map[string][]fact{}
 	for _, fx := range fixtures {
-		res := analyzeResult(t, writeFixture(t, fx.files))
+		root := writeFixture(t, fx.files)
+		res := analyzeResult(t, root)
 		data, err := json.Marshal(res.Facts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Block sites and lock edges carry file names under the
+		// fixture's temp root; make them machine-independent.
+		data = bytes.ReplaceAll(data, []byte(filepath.ToSlash(root)+"/"), []byte("$FIXTURE/"))
 		var all []fact
 		if err := json.Unmarshal(data, &all); err != nil {
 			t.Fatal(err)

@@ -119,9 +119,9 @@ func TestAllocGuard(t *testing.T) {
 	checkMarkers(t, root, allocGuardFixture, analyze(t, root))
 }
 
-func TestDeadWait(t *testing.T) {
-	// The fixture path must fall under deadwait's package restriction.
-	files := map[string]string{"internal/parallel/wg.go": `package parallel
+// deadWaitFixture seeds each deadwait finding kind next to balanced
+// shapes. Its path must fall under deadwait's package restriction.
+var deadWaitFixture = map[string]string{"internal/parallel/wg.go": `package parallel
 
 import "sync"
 
@@ -206,8 +206,10 @@ func (p *pool) start(jobs chan int, n int) {
 	}()
 }
 `}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
+
+func TestDeadWait(t *testing.T) {
+	root := writeFixture(t, deadWaitFixture)
+	checkMarkers(t, root, deadWaitFixture, analyze(t, root))
 }
 
 var panicFactFixture = map[string]string{
