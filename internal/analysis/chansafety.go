@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -46,21 +48,6 @@ func init() {
 			"that can never proceed because no producer for its channels was started",
 		Run: runChanSafety,
 	})
-}
-
-// chainRef identifies a channel expression within one function walk:
-// the root object plus the dotted field path from it.
-type chainRef struct {
-	root types.Object
-	path string
-}
-
-func chanChain(info *types.Info, e ast.Expr) (chainRef, bool) {
-	root, path, ok := chainOf(info, e)
-	if !ok || root == nil {
-		return chainRef{}, false
-	}
-	return chainRef{root, path}, true
 }
 
 func runChanSafety(pass *Pass) error {
@@ -131,13 +118,13 @@ func chanUseSummary(pass *Pass, t declTarget) (*ChanUseFact, bool) {
 	ast.Inspect(t.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			if ref, ok := chanChain(pass.Info, n.Chan); ok {
+			if ref, ok := chainOf(pass.Info, n.Chan); ok {
 				note(ref, false)
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && isBuiltin(pass.Info, id) {
 				if len(n.Args) == 1 {
-					if ref, ok := chanChain(pass.Info, n.Args[0]); ok {
+					if ref, ok := chainOf(pass.Info, n.Args[0]); ok {
 						note(ref, true)
 					}
 				}
@@ -155,20 +142,20 @@ func chanUseSummary(pass *Pass, t declTarget) (*ChanUseFact, bool) {
 			use := f.(*ChanUseFact)
 			for _, idx := range use.ClosesParams {
 				if idx < len(n.Args) {
-					if ref, ok := chanChain(pass.Info, n.Args[idx]); ok {
+					if ref, ok := chainOf(pass.Info, n.Args[idx]); ok {
 						note(ref, true)
 					}
 				}
 			}
 			for _, idx := range use.SendsParams {
 				if idx < len(n.Args) {
-					if ref, ok := chanChain(pass.Info, n.Args[idx]); ok {
+					if ref, ok := chainOf(pass.Info, n.Args[idx]); ok {
 						note(ref, false)
 					}
 				}
 			}
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if ref, ok := chanChain(pass.Info, sel.X); ok {
+				if ref, ok := chainOf(pass.Info, sel.X); ok {
 					for _, fld := range use.ClosesFields {
 						note(chainRef{ref.root, joinField(ref.path, fld)}, true)
 					}
@@ -236,7 +223,7 @@ func profileChans(pass *Pass, body *ast.BlockStmt) *chanProfile {
 		escaped:  map[chainRef]bool{},
 	}
 	markEscape := func(e ast.Expr) {
-		if ref, ok := chanChain(pass.Info, e); ok {
+		if ref, ok := chainOf(pass.Info, e); ok {
 			if tv, ok := pass.Info.Types[e]; ok && isChanType(tv.Type) {
 				p.escaped[ref] = true
 			}
@@ -245,18 +232,18 @@ func profileChans(pass *Pass, body *ast.BlockStmt) *chanProfile {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			if ref, ok := chanChain(pass.Info, n.Chan); ok {
+			if ref, ok := chainOf(pass.Info, n.Chan); ok {
 				p.sends[ref]++
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				if ref, ok := chanChain(pass.Info, n.X); ok {
+				if ref, ok := chainOf(pass.Info, n.X); ok {
 					p.receives[ref]++
 				}
 			}
 		case *ast.RangeStmt:
 			if tv, ok := pass.Info.Types[n.X]; ok && isChanType(tv.Type) {
-				if ref, ok := chanChain(pass.Info, n.X); ok {
+				if ref, ok := chainOf(pass.Info, n.X); ok {
 					p.receives[ref]++
 				}
 			}
@@ -268,7 +255,7 @@ func profileChans(pass *Pass, body *ast.BlockStmt) *chanProfile {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if ok {
 					if id, isID := ast.Unparen(call.Fun).(*ast.Ident); isID && id.Name == "make" && isBuiltin(pass.Info, id) {
-						if ref, refOK := chanChain(pass.Info, n.Lhs[i]); refOK {
+						if ref, refOK := chainOf(pass.Info, n.Lhs[i]); refOK {
 							if tv, tvOK := pass.Info.Types[call]; tvOK && isChanType(tv.Type) {
 								p.made[ref] = true
 								if len(call.Args) >= 2 {
@@ -332,185 +319,52 @@ type closeRec struct {
 	via string
 }
 
-// csWalker performs the order-sensitive walk for the send-after-close
-// rule, with lockorder's snapshot discipline for branches, plus the
-// loop-spawn rule (it needs loop nesting).
+// csWalker holds the send-after-close rule's state for the ordered
+// walk: the closed set, restored after each branch. The loop-spawn rule
+// reads the walk's loop nesting.
 type csWalker struct {
 	pass    *Pass
 	profile *chanProfile
 	closed  map[chainRef]closeRec
-	// loops is the stack of enclosing unbounded-loop bodies.
-	loops []*ast.BlockStmt
 }
 
 func checkChanSafety(pass *Pass, t declTarget) {
 	w := &csWalker{pass: pass, profile: profileChans(pass, t.decl.Body), closed: map[chainRef]closeRec{}}
-	w.walkBody(t.decl.Body)
+	walkOrdered(pass.Info, t.decl.Body, w)
 }
 
-func (w *csWalker) snapshot(walk func()) {
-	saved := make(map[chainRef]closeRec, len(w.closed))
-	for k, v := range w.closed {
-		saved[k] = v
-	}
-	walk()
-	w.closed = saved
+// lits walks a literal that is not called on the spot in its own order
+// domain: a goroutine's, callback's or deferred call's view of the
+// closes around it is racy or comes after every path.
+func (w *csWalker) lits() litMode { return litFresh }
+
+func (w *csWalker) branch() func() {
+	saved := maps.Clone(w.closed)
+	return func() { w.closed = saved }
 }
 
-func (w *csWalker) walkBody(body *ast.BlockStmt) {
-	for _, s := range body.List {
-		w.walkStmt(s)
-	}
+func (w *csWalker) fresh(*ast.FuncLit) func() {
+	closed := w.closed
+	w.closed = map[chainRef]closeRec{}
+	return func() { w.closed = closed }
 }
 
-func (w *csWalker) walkStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkBody(s)
-	case *ast.ExprStmt:
-		w.walkExpr(s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.walkExpr(e)
-					}
-				}
-			}
-		}
+func (w *csWalker) visit(ow *orderWalk, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		w.handleCall(n)
 	case *ast.SendStmt:
-		w.walkExpr(s.Value)
-		if ref, ok := chanChain(w.pass.Info, s.Chan); ok {
+		if ref, ok := chainOf(w.pass.Info, n.Chan); ok {
 			if rec, isClosed := w.closed[ref]; isClosed {
-				w.pass.Reportf(s.Pos(), "send on %s, which a reachable path closes at %s%s: send on a closed channel panics",
-					chainDisplay(s.Chan), posDisplay(rec.pos), viaSuffix(rec.via))
+				w.pass.Reportf(n.Pos(), "send on %s, which a reachable path closes at %s%s: send on a closed channel panics",
+					chainDisplay(n.Chan), posDisplay(rec.pos), viaSuffix(rec.via))
 			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkExpr(s.Cond)
-		w.snapshot(func() { w.walkBody(s.Body) })
-		if s.Else != nil {
-			w.snapshot(func() { w.walkStmt(s.Else) })
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		unbounded := s.Cond == nil
-		w.snapshot(func() {
-			if unbounded {
-				w.loops = append(w.loops, s.Body)
-			}
-			w.walkBody(s.Body)
-			if s.Post != nil {
-				w.walkStmt(s.Post)
-			}
-			if unbounded {
-				w.loops = w.loops[:len(w.loops)-1]
-			}
-		})
-	case *ast.RangeStmt:
-		w.walkExpr(s.X)
-		w.snapshot(func() {
-			w.loops = append(w.loops, s.Body)
-			w.walkBody(s.Body)
-			w.loops = w.loops[:len(w.loops)-1]
-		})
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var caseBodies [][]ast.Stmt
-		switch sw := s.(type) {
-		case *ast.SwitchStmt:
-			if sw.Init != nil {
-				w.walkStmt(sw.Init)
-			}
-			if sw.Tag != nil {
-				w.walkExpr(sw.Tag)
-			}
-			for _, c := range sw.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					caseBodies = append(caseBodies, cc.Body)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			if sw.Init != nil {
-				w.walkStmt(sw.Init)
-			}
-			for _, c := range sw.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					caseBodies = append(caseBodies, cc.Body)
-				}
-			}
-		}
-		for _, body := range caseBodies {
-			body := body
-			w.snapshot(func() {
-				for _, st := range body {
-					w.walkStmt(st)
-				}
-			})
 		}
 	case *ast.SelectStmt:
-		w.checkDeadSelect(s)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
+		w.checkDeadSelect(n)
 	case *ast.GoStmt:
-		w.checkLoopSpawn(s)
-		// The goroutine body runs in its own order domain: walk it
-		// with a fresh closed set (its view of closes is racy), but
-		// keep loop context empty.
-		for _, arg := range s.Call.Args {
-			w.walkExpr(arg)
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			inner := &csWalker{pass: w.pass, profile: w.profile, closed: map[chainRef]closeRec{}}
-			inner.walkBody(lit.Body)
-		}
-	case *ast.DeferStmt:
-		for _, arg := range s.Call.Args {
-			w.walkExpr(arg)
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X)
+		w.checkLoopSpawn(ow.loops, n)
 	}
-}
-
-func (w *csWalker) walkExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// Literals may run on other goroutines: own order domain.
-			inner := &csWalker{pass: w.pass, profile: w.profile, closed: map[chainRef]closeRec{}}
-			inner.walkBody(n.Body)
-			return false
-		case *ast.CallExpr:
-			w.handleCall(n)
-		}
-		return true
-	})
 }
 
 func (w *csWalker) handleCall(call *ast.CallExpr) {
@@ -518,7 +372,7 @@ func (w *csWalker) handleCall(call *ast.CallExpr) {
 		if len(call.Args) != 1 {
 			return
 		}
-		ref, ok := chanChain(w.pass.Info, call.Args[0])
+		ref, ok := chainOf(w.pass.Info, call.Args[0])
 		if !ok {
 			return
 		}
@@ -560,7 +414,7 @@ func (w *csWalker) handleCall(call *ast.CallExpr) {
 
 	for _, idx := range use.SendsParams {
 		if idx < len(call.Args) {
-			if ref, ok := chanChain(w.pass.Info, call.Args[idx]); ok {
+			if ref, ok := chainOf(w.pass.Info, call.Args[idx]); ok {
 				check(ref, "its argument")
 			}
 		}
@@ -568,7 +422,7 @@ func (w *csWalker) handleCall(call *ast.CallExpr) {
 	var recvRef chainRef
 	recvKnown := false
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recvRef, recvKnown = chanChain(w.pass.Info, sel.X)
+		recvRef, recvKnown = chainOf(w.pass.Info, sel.X)
 	}
 	if recvKnown {
 		for _, fld := range use.SendsFields {
@@ -577,7 +431,7 @@ func (w *csWalker) handleCall(call *ast.CallExpr) {
 	}
 	for _, idx := range use.ClosesParams {
 		if idx < len(call.Args) {
-			if ref, ok := chanChain(w.pass.Info, call.Args[idx]); ok {
+			if ref, ok := chainOf(w.pass.Info, call.Args[idx]); ok {
 				mark(ref)
 			}
 		}
@@ -590,15 +444,23 @@ func (w *csWalker) handleCall(call *ast.CallExpr) {
 }
 
 // checkLoopSpawn flags a goroutine spawned inside an unbounded loop
-// with nothing in the loop tying the spawn rate to a budget: no
-// channel operation (token semaphore) and no submit/acquire call
-// outside the spawned body itself.
-func (w *csWalker) checkLoopSpawn(g *ast.GoStmt) {
-	if len(w.loops) == 0 {
-		return
+// (range, or for without a condition) with nothing in the innermost
+// such loop tying the spawn rate to a budget: no channel operation
+// (token semaphore) and no submit/acquire call outside the spawned
+// body itself.
+func (w *csWalker) checkLoopSpawn(loops []ast.Stmt, g *ast.GoStmt) {
+	var body *ast.BlockStmt
+	for _, l := range loops {
+		switch l := l.(type) {
+		case *ast.RangeStmt:
+			body = l.Body
+		case *ast.ForStmt:
+			if l.Cond == nil {
+				body = l.Body
+			}
+		}
 	}
-	loop := w.loops[len(w.loops)-1]
-	if loopHasBudget(w.pass, loop) {
+	if body == nil || loopHasBudget(w.pass, body) {
 		return
 	}
 	w.pass.Reportf(g.Pos(), "goroutine spawned in an unbounded loop with no worker budget: each iteration adds a goroutine; bound it with a token channel, errgroup-style semaphore, or parallel.Pipe")
@@ -647,30 +509,12 @@ func (w *csWalker) checkDeadSelect(s *ast.SelectStmt) {
 		if !ok || cc.Comm == nil {
 			return
 		}
-		var chExpr ast.Expr
-		isSend := false
-		switch comm := cc.Comm.(type) {
-		case *ast.SendStmt:
-			chExpr, isSend = comm.Chan, true
-		case *ast.ExprStmt:
-			u, ok := ast.Unparen(comm.X).(*ast.UnaryExpr)
-			if !ok || u.Op != token.ARROW {
-				return
-			}
-			chExpr = u.X
-		case *ast.AssignStmt:
-			if len(comm.Rhs) != 1 {
-				return
-			}
-			u, ok := ast.Unparen(comm.Rhs[0]).(*ast.UnaryExpr)
-			if !ok || u.Op != token.ARROW {
-				return
-			}
-			chExpr = u.X
-		default:
+		chExpr, value := selectComm(cc.Comm)
+		if chExpr == nil {
 			return
 		}
-		ref, ok := chanChain(w.pass.Info, chExpr)
+		isSend := value != nil
+		ref, ok := chainOf(w.pass.Info, chExpr)
 		if !ok || !w.profile.made[ref] || w.profile.escaped[ref] {
 			return
 		}
@@ -715,7 +559,7 @@ func posDisplay(p token.Position) string {
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
 	}
-	return name + ":" + itoa(p.Line)
+	return name + ":" + strconv.Itoa(p.Line)
 }
 
 func viaSuffix(via string) string {

@@ -1,14 +1,17 @@
 package analysis
 
 // Shared infrastructure for the concurrency-contract analyzers
-// (lockorder, chansafety, ctxflow): repo-wide lock-class naming,
-// channel/expression identity, and the classification of operations
-// that can block a goroutine indefinitely.
+// (lockorder, chansafety, deadwait, ctxflow), next to their ordered
+// walk in orderwalk.go: repo-wide lock-class naming, value identity
+// within a function, and the classification of operations that can
+// block a goroutine indefinitely.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
+	"strings"
 )
 
 // BlockSite is one potentially-indefinite blocking operation, carried
@@ -24,35 +27,21 @@ type BlockSite struct {
 }
 
 func (s BlockSite) key() string {
-	return s.What + "|" + s.File + "|" + itoa(s.Line) + ":" + itoa(s.Col)
+	return s.What + "|" + s.File + "|" + strconv.Itoa(s.Line) + ":" + strconv.Itoa(s.Col)
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+// chainRef identifies a value within one function walk (a mutex, a
+// channel, a WaitGroup): the root object plus the dotted field path
+// from it.
+type chainRef struct {
+	root types.Object
+	path string
 }
 
 // chainOf resolves an expression like p.pipe.workers to its root
-// object and dotted field path (the standalone form of the resolver
-// deadwait uses). Parens, addresses-of, and derefs are transparent.
-func chainOf(info *types.Info, e ast.Expr) (types.Object, string, bool) {
+// object and dotted field path. Parens, addresses-of, and derefs are
+// transparent.
+func chainOf(info *types.Info, e ast.Expr) (chainRef, bool) {
 	var parts []string
 	for {
 		switch v := ast.Unparen(e).(type) {
@@ -62,37 +51,26 @@ func chainOf(info *types.Info, e ast.Expr) (types.Object, string, bool) {
 				obj = info.Defs[v]
 			}
 			if obj == nil {
-				return nil, "", false
+				return chainRef{}, false
 			}
 			if _, isPkg := obj.(*types.PkgName); isPkg {
-				return nil, "", false
+				return chainRef{}, false
 			}
-			return obj, joinPath(parts), true
+			return chainRef{obj, strings.Join(parts, ".")}, true
 		case *ast.SelectorExpr:
 			parts = append([]string{v.Sel.Name}, parts...)
 			e = v.X
 		case *ast.UnaryExpr:
 			if v.Op != token.AND {
-				return nil, "", false
+				return chainRef{}, false
 			}
 			e = v.X
 		case *ast.StarExpr:
 			e = v.X
 		default:
-			return nil, "", false
+			return chainRef{}, false
 		}
 	}
-}
-
-func joinPath(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "."
-		}
-		out += p
-	}
-	return out
 }
 
 // isSyncNamed reports whether t (after pointer deref) is the named
@@ -148,15 +126,15 @@ func lockClass(info *types.Info, pkg *types.Package, expr ast.Expr) string {
 			}
 		}
 	}
-	root, path, ok := chainOf(info, expr)
-	if !ok || root == nil {
+	ref, ok := chainOf(info, expr)
+	if !ok {
 		return ""
 	}
 	// Package-level variable (possibly with a field path).
-	if v, isVar := root.(*types.Var); isVar && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+	if v, isVar := ref.root.(*types.Var); isVar && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 		cls := v.Pkg().Path() + "." + v.Name()
-		if path != "" {
-			cls += "." + path
+		if ref.path != "" {
+			cls += "." + ref.path
 		}
 		return cls
 	}
@@ -210,13 +188,21 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// localForkJoinWait reports whether a Wait call on the given
-// WaitGroup chain is a local fork-join: the same function both Adds
-// to the group and spawns the goroutines that Done it, so the wait is
-// bounded by work the function itself started (parallel.For's shape)
-// rather than by an external event. Such waits are exempt from the
-// blocking-op checks; deadwait still audits their Add/Done balance.
-func localForkJoinWait(info *types.Info, body *ast.BlockStmt, root types.Object, path string) bool {
+// localForkJoinWait reports whether call, a WaitGroup Wait, is a local
+// fork-join: the same function both Adds to the group and spawns the
+// goroutines that Done it, so the wait is bounded by work the function
+// itself started (parallel.For's shape) rather than by an external
+// event. Such waits are exempt from the blocking-op checks; deadwait
+// still audits their Add/Done balance.
+func localForkJoinWait(info *types.Info, body *ast.BlockStmt, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	wg, ok := chainOf(info, sel.X)
+	if !ok {
+		return false
+	}
 	sawAdd, sawGo := false, false
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -227,8 +213,7 @@ func localForkJoinWait(info *types.Info, body *ast.BlockStmt, root types.Object,
 			if !ok || sel.Sel.Name != "Add" {
 				return true
 			}
-			r, p, ok := chainOf(info, sel.X)
-			if ok && r == root && p == path {
+			if ref, ok := chainOf(info, sel.X); ok && ref == wg {
 				sawAdd = true
 			}
 		}
@@ -237,16 +222,17 @@ func localForkJoinWait(info *types.Info, body *ast.BlockStmt, root types.Object,
 	return sawAdd && sawGo
 }
 
-// localJoinReceive reports whether a receive on the channel chain is
-// joined to a goroutine the same function spawned: the channel is a
-// function-local make(chan ...) and some go statement in the body
-// sends on it (faultinject's sandbox shape). The wait is then bounded
-// by the function's own spawn, not an external producer.
-func localJoinReceive(info *types.Info, body *ast.BlockStmt, root types.Object, path string) bool {
-	if path != "" || root == nil {
+// localJoinReceive reports whether a receive on ch is joined to a
+// goroutine the same function spawned: the channel is a function-local
+// make(chan ...) and some go statement in the body sends on it
+// (faultinject's sandbox shape). The wait is then bounded by the
+// function's own spawn, not an external producer.
+func localJoinReceive(info *types.Info, body *ast.BlockStmt, ch ast.Expr) bool {
+	ref, ok := chainOf(info, ch)
+	if !ok || ref.path != "" {
 		return false
 	}
-	v, ok := root.(*types.Var)
+	v, ok := ref.root.(*types.Var)
 	if !ok || v.Parent() == nil || (v.Pkg() != nil && v.Parent() == v.Pkg().Scope()) {
 		return false
 	}
@@ -262,7 +248,7 @@ func localJoinReceive(info *types.Info, body *ast.BlockStmt, root types.Object, 
 		}
 		ast.Inspect(lit.Body, func(m ast.Node) bool {
 			if s, ok := m.(*ast.SendStmt); ok {
-				if r, p, ok := chainOf(info, s.Chan); ok && r == root && p == "" {
+				if r, ok := chainOf(info, s.Chan); ok && r == ref {
 					sends = true
 				}
 			}

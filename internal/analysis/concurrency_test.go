@@ -82,10 +82,57 @@ func unlockBeforeWait(ch chan int) int {
 }
 `}
 
-// TestLockOrder checks the findings lockOrderFixture marks.
+// lockOrderChainedSrc blocks under a held mutex through the receiver
+// of a call: recvA(ch).get() and (<-ch).get(), next to the unchained
+// recvB control. A callee's blocking op is reported at its own site,
+// so recvA's and recvB's receives carry the markers. The file stays
+// out of the facts golden: its callers' summaries gained those blocks
+// when the walk began to walk call receivers.
+const lockOrderChainedSrc = `package lo
+
+type box struct{ v int }
+
+func (b box) get() int { return b.v }
+
+func recvA(ch chan box) box {
+	return <-ch // want lockorder
+}
+
+func recvB(ch chan box) box {
+	return <-ch // want lockorder
+}
+
+func chainedCall(ch chan box) int {
+	muA.Lock()
+	v := recvA(ch).get()
+	muA.Unlock()
+	return v
+}
+
+func chainedRecv(ch chan box) int {
+	muA.Lock()
+	v := (<-ch).get() // want lockorder
+	muA.Unlock()
+	return v
+}
+
+func unchained(ch chan box) int {
+	muA.Lock()
+	b := recvB(ch)
+	muA.Unlock()
+	return b.get()
+}
+`
+
+// TestLockOrder checks the findings lockOrderFixture and
+// lockOrderChainedSrc mark.
 func TestLockOrder(t *testing.T) {
-	root := writeFixture(t, lockOrderFixture)
-	checkMarkers(t, root, lockOrderFixture, analyze(t, root))
+	files := map[string]string{"lo/chained.go": lockOrderChainedSrc}
+	for name, src := range lockOrderFixture {
+		files[name] = src
+	}
+	root := writeFixture(t, files)
+	checkMarkers(t, root, files, analyze(t, root))
 }
 
 // chanSafetyFixture seeds each chansafety finding kind: send and close

@@ -51,150 +51,55 @@ func init() {
 }
 
 // ctxCollect is the synchronous-flow summary of one body: blocking
-// operations and the calls whose callee facts must be merged.
+// operations and the calls whose callee facts must be merged. It
+// walks only what runs on the function's own goroutine: go and defer
+// bodies and literals that are not called on the spot are skipped,
+// and a select's communications are the select's (an op inside a
+// select has siblings that can unblock it).
 type ctxCollect struct {
+	stateless
+	pass  *Pass
+	body  *ast.BlockStmt
 	ops   []BlockSite
 	calls []*ast.CallExpr
 }
 
-// ctxSyncFlow walks the statements that run on the function's own
-// goroutine: function literals, go/defer bodies are skipped, and so
-// are select communications (an op inside a select has siblings that
-// can unblock it).
-func ctxSyncFlow(pass *Pass, top *ast.BlockStmt) *ctxCollect {
-	c := &ctxCollect{}
-	var walkStmt func(ast.Stmt)
-	addOp := func(pos token.Pos, what string) {
-		p := pass.Fset.Position(pos)
-		c.ops = append(c.ops, BlockSite{File: p.Filename, Line: p.Line, Col: p.Column, What: what})
-	}
-	walkExpr := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW {
-					if root, path, ok := chainOf(pass.Info, n.X); ok &&
-						localJoinReceive(pass.Info, top, root, path) {
-						return true
-					}
-					addOp(n.Pos(), "channel receive")
-				}
-			case *ast.CallExpr:
-				c.calls = append(c.calls, n)
-				if what, ok := blockingCall(pass.Info, n); ok {
-					switch what {
-					case "sync.WaitGroup.Wait":
-						if sel, selOK := ast.Unparen(n.Fun).(*ast.SelectorExpr); selOK {
-							if root, path, chOK := chainOf(pass.Info, sel.X); chOK &&
-								localForkJoinWait(pass.Info, top, root, path) {
-								return true
-							}
-						}
-						addOp(n.Pos(), what)
-					case "sync.Cond.Wait":
-						addOp(n.Pos(), what)
-					}
-					// Interface I/O and io helpers: excluded here.
-				}
-			}
-			return true
-		})
-	}
-	walkStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.BlockStmt:
-			for _, st := range s.List {
-				walkStmt(st)
-			}
-		case *ast.ExprStmt:
-			walkExpr(s.X)
-		case *ast.AssignStmt:
-			for _, e := range s.Rhs {
-				walkExpr(e)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, e := range vs.Values {
-							walkExpr(e)
-						}
-					}
-				}
-			}
-		case *ast.SendStmt:
-			walkExpr(s.Value)
-			addOp(s.Pos(), "channel send")
-		case *ast.ReturnStmt:
-			for _, e := range s.Results {
-				walkExpr(e)
-			}
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkExpr(s.Cond)
-			walkStmt(s.Body)
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkExpr(s.Cond)
-			walkStmt(s.Body)
-			if s.Post != nil {
-				walkStmt(s.Post)
-			}
-		case *ast.RangeStmt:
-			walkExpr(s.X)
-			if tv, ok := pass.Info.Types[s.X]; ok && isChanType(tv.Type) {
-				addOp(s.Pos(), "range over channel")
-			}
-			walkStmt(s.Body)
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkExpr(s.Tag)
-			walkStmt(s.Body)
-		case *ast.TypeSwitchStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkStmt(s.Body)
-		case *ast.CaseClause:
-			for _, st := range s.Body {
-				walkStmt(st)
-			}
-		case *ast.SelectStmt:
-			// Only the case bodies are sync flow; the communications
-			// themselves have alternatives.
-			for _, cl := range s.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok {
-					for _, st := range cc.Body {
-						walkStmt(st)
-					}
-				}
-			}
-		case *ast.LabeledStmt:
-			walkStmt(s.Stmt)
-		case *ast.IncDecStmt:
-			walkExpr(s.X)
-		case *ast.GoStmt, *ast.DeferStmt:
-			// Not this goroutine's flow; rules 2 and 4 inspect them.
-		}
-	}
-	for _, st := range top.List {
-		walkStmt(st)
-	}
+// ctxSyncFlow collects the synchronous flow of one function body.
+func ctxSyncFlow(pass *Pass, body *ast.BlockStmt) *ctxCollect {
+	c := &ctxCollect{pass: pass, body: body}
+	walkOrdered(pass.Info, body, c)
 	return c
+}
+
+func (c *ctxCollect) lits() litMode { return litSkip }
+
+func (c *ctxCollect) visit(_ *orderWalk, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		c.calls = append(c.calls, n)
+		// Interface I/O and io helpers are excluded here.
+		switch what, _ := blockingCall(c.pass.Info, n); what {
+		case "sync.WaitGroup.Wait":
+			if !localForkJoinWait(c.pass.Info, c.body, n) {
+				c.op(n.Pos(), what)
+			}
+		case "sync.Cond.Wait":
+			c.op(n.Pos(), what)
+		}
+	case *ast.UnaryExpr:
+		if !localJoinReceive(c.pass.Info, c.body, n.X) {
+			c.op(n.Pos(), "channel receive")
+		}
+	case *ast.SendStmt:
+		c.op(n.Pos(), "channel send")
+	case *ast.RangeStmt:
+		c.op(n.Pos(), "range over channel")
+	}
+}
+
+func (c *ctxCollect) op(pos token.Pos, what string) {
+	p := c.pass.Fset.Position(pos)
+	c.ops = append(c.ops, BlockSite{File: p.Filename, Line: p.Line, Col: p.Column, What: what})
 }
 
 // funcCarriesCancel reports whether callers of fn hold a cancellation

@@ -48,16 +48,9 @@ func init() {
 	})
 }
 
-// wgKey identifies one WaitGroup value inside a function: the root
-// object plus the field path from it.
-type wgKey struct {
-	root types.Object
-	path string
-}
-
 type wgRecord struct {
 	kind      string // "add" or "done"
-	key       wgKey
+	key       chainRef
 	pos       token.Pos
 	loop      int
 	inGo      bool
@@ -67,18 +60,17 @@ type wgRecord struct {
 	delegated bool
 }
 
-type dwCtx struct {
-	loop     int
-	goLit    *ast.FuncLit
-	deferred bool
-}
-
+// dwWalker collects one function's WaitGroup records on the ordered
+// walk. It keeps no path state: records accumulate across branches,
+// each stamped with the walk's loop depth, go literal and deferred
+// context.
 type dwWalker struct {
+	stateless
 	pass    *Pass
 	recv    types.Object
 	params  map[types.Object]int
 	records []wgRecord
-	escaped map[wgKey]bool
+	escaped map[chainRef]bool
 }
 
 func runDeadWait(pass *Pass) error {
@@ -89,8 +81,8 @@ func runDeadWait(pass *Pass) error {
 	// the last round's walkers.
 	walkers := map[string]*dwWalker{}
 	summarize(targets, func(t declTarget) bool {
-		w := newDWWalker(pass, t.decl)
-		w.walkStmts(t.decl.Body.List, dwCtx{})
+		w := newDWWalker(pass, t.fn)
+		walkOrdered(pass.Info, t.decl.Body, w)
 		walkers[FuncKey(t.fn)] = w
 		return w.exportFact(t.fn)
 	})
@@ -100,195 +92,50 @@ func runDeadWait(pass *Pass) error {
 	return nil
 }
 
-func newDWWalker(pass *Pass, decl *ast.FuncDecl) *dwWalker {
-	w := &dwWalker{pass: pass, params: map[types.Object]int{}, escaped: map[wgKey]bool{}}
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
-			for _, name := range f.Names {
-				w.recv = pass.Info.Defs[name]
-			}
-		}
-	}
-	idx := 0
-	for _, f := range decl.Type.Params.List {
-		for _, name := range f.Names {
-			if obj := pass.Info.Defs[name]; obj != nil {
-				w.params[obj] = idx
-			}
-			idx++
-		}
-		if len(f.Names) == 0 {
-			idx++
-		}
+func newDWWalker(pass *Pass, fn *types.Func) *dwWalker {
+	sig := fn.Type().(*types.Signature)
+	w := &dwWalker{pass: pass, recv: recvObjOf(sig), params: map[types.Object]int{}, escaped: map[chainRef]bool{}}
+	for i := 0; i < sig.Params().Len(); i++ {
+		w.params[sig.Params().At(i)] = i
 	}
 	return w
 }
 
-func (w *dwWalker) walkStmts(list []ast.Stmt, ctx dwCtx) {
-	for _, s := range list {
-		w.walkStmt(s, ctx)
-	}
-}
+// lits walks every literal inline: a go body in goroutine context
+// (keeping the loop depth it was spawned at), a deferred body as
+// deferred, and a literal used as a value (a callback) in the
+// caller's context.
+func (w *dwWalker) lits() litMode { return litInline }
 
-func (w *dwWalker) walkStmt(s ast.Stmt, ctx dwCtx) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, ctx)
-	case *ast.ExprStmt:
-		w.walkExpr(s.X, ctx)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e, ctx)
-		}
-		for _, e := range s.Lhs {
-			w.walkExpr(e, ctx)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.walkExpr(v, ctx)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		w.walkExpr(s.Cond, ctx)
-		w.walkStmts(s.Body.List, ctx)
-		if s.Else != nil {
-			w.walkStmt(s.Else, ctx)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		inner := ctx
-		inner.loop++
-		if s.Cond != nil {
-			w.walkExpr(s.Cond, ctx)
-		}
-		w.walkStmts(s.Body.List, inner)
-		if s.Post != nil {
-			w.walkStmt(s.Post, inner)
-		}
-	case *ast.RangeStmt:
-		w.walkExpr(s.X, ctx)
-		inner := ctx
-		inner.loop++
-		w.walkStmts(s.Body.List, inner)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		if s.Tag != nil {
-			w.walkExpr(s.Tag, ctx)
-		}
-		for _, c := range s.Body.List {
-			w.walkStmts(c.(*ast.CaseClause).Body, ctx)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		w.walkStmt(s.Assign, ctx)
-		for _, c := range s.Body.List {
-			w.walkStmts(c.(*ast.CaseClause).Body, ctx)
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm, ctx)
-			}
-			w.walkStmts(cc.Body, ctx)
-		}
-	case *ast.GoStmt:
-		w.handleSpawnedCall(s.Call, ctx)
-	case *ast.DeferStmt:
-		inner := ctx
-		inner.deferred = true
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, inner)
-		} else {
-			w.walkExpr(s.Call, inner)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e, ctx)
-		}
-	case *ast.SendStmt:
-		w.walkExpr(s.Chan, ctx)
-		w.walkExpr(s.Value, ctx)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, ctx)
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X, ctx)
-	}
-}
-
-// handleSpawnedCall processes `go f(...)`: a function literal's body
-// is walked in goroutine context; a named callee contributes its
-// summarized WaitGroup effects at the spawn site.
-func (w *dwWalker) handleSpawnedCall(call *ast.CallExpr, ctx dwCtx) {
-	for _, a := range call.Args {
-		w.walkExpr(a, ctx)
-	}
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.walkStmts(lit.Body.List, dwCtx{loop: ctx.loop, goLit: lit})
-		return
-	}
-	w.handleCall(call, ctx, true)
-}
-
-func (w *dwWalker) walkExpr(e ast.Expr, ctx dwCtx) {
-	switch e := e.(type) {
-	case nil:
+func (w *dwWalker) visit(ow *orderWalk, n ast.Node) {
+	switch n := n.(type) {
 	case *ast.CallExpr:
-		w.handleCall(e, ctx, false)
-	case *ast.FuncLit:
-		w.walkStmts(e.Body.List, ctx)
-	case *ast.ParenExpr:
-		w.walkExpr(e.X, ctx)
-	case *ast.BinaryExpr:
-		w.walkExpr(e.X, ctx)
-		w.walkExpr(e.Y, ctx)
-	case *ast.UnaryExpr:
-		w.walkExpr(e.X, ctx)
-	case *ast.StarExpr:
-		w.walkExpr(e.X, ctx)
-	case *ast.IndexExpr:
-		w.walkExpr(e.X, ctx)
-		w.walkExpr(e.Index, ctx)
-	case *ast.SliceExpr:
-		w.walkExpr(e.X, ctx)
-		w.walkExpr(e.Low, ctx)
-		w.walkExpr(e.High, ctx)
-		w.walkExpr(e.Max, ctx)
-	case *ast.SelectorExpr:
-		w.walkExpr(e.X, ctx)
+		w.handleCall(ow, n, false, ow.deferred)
+	case *ast.GoStmt:
+		// A named callee contributes its summarized effects at the
+		// spawn site.
+		if _, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
+			w.handleCall(ow, n.Call, true, ow.deferred)
+		}
+	case *ast.DeferStmt:
+		if _, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
+			w.handleCall(ow, n.Call, false, true)
+		}
 	case *ast.CompositeLit:
-		for _, elt := range e.Elts {
+		for _, elt := range n.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				elt = kv.Value
 			}
-			w.walkExpr(elt, ctx)
 			w.noteEscape(elt)
 		}
-	case *ast.TypeAssertExpr:
-		w.walkExpr(e.X, ctx)
 	}
 }
 
 // handleCall classifies one call: a WaitGroup method, a summarized
 // delegate, or an escape point for any WaitGroup argument.
-func (w *dwWalker) handleCall(call *ast.CallExpr, ctx dwCtx, spawned bool) {
+func (w *dwWalker) handleCall(ow *orderWalk, call *ast.CallExpr, spawned, deferred bool) {
 	if key, method, ok := w.wgMethodCall(call); ok {
-		switch method {
-		case "Add", "Done":
+		if method == "Add" || method == "Done" {
 			one := false
 			if method == "Add" && len(call.Args) == 1 {
 				if v, isConst := constInt(w.pass.Info, call.Args[0]); isConst && v == 1 {
@@ -297,12 +144,9 @@ func (w *dwWalker) handleCall(call *ast.CallExpr, ctx dwCtx, spawned bool) {
 			}
 			w.records = append(w.records, wgRecord{
 				kind: strings.ToLower(method), key: key, pos: call.Pos(),
-				loop: ctx.loop, inGo: ctx.goLit != nil, goLit: ctx.goLit,
-				deferred: ctx.deferred, addOne: one,
+				loop: len(ow.loops), inGo: ow.spawn != nil, goLit: ow.spawn,
+				deferred: deferred, addOne: one,
 			})
-		}
-		for _, a := range call.Args {
-			w.walkExpr(a, ctx)
 		}
 		return
 	}
@@ -314,56 +158,46 @@ func (w *dwWalker) handleCall(call *ast.CallExpr, ctx dwCtx, spawned bool) {
 		}
 	}
 	if fact != nil {
-		w.applyFact(call, fact, ctx, spawned)
+		w.applyFact(ow, call, fact, spawned)
 	} else {
 		for _, a := range call.Args {
 			w.noteEscape(a)
 		}
 	}
-	for _, a := range call.Args {
-		w.walkExpr(a, ctx)
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		w.walkExpr(sel.X, ctx)
-	}
 }
 
 // applyFact synthesizes Add/Done records at a call site from the
 // callee's summarized effects.
-func (w *dwWalker) applyFact(call *ast.CallExpr, fact *WaitGroupEffectFact, ctx dwCtx, spawned bool) {
-	resolve := func(ref WGRef) (wgKey, bool) {
+func (w *dwWalker) applyFact(ow *orderWalk, call *ast.CallExpr, fact *WaitGroupEffectFact, spawned bool) {
+	resolve := func(ref WGRef) (chainRef, bool) {
 		var base ast.Expr
 		if ref.Param < 0 {
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 			if !ok {
-				return wgKey{}, false
+				return chainRef{}, false
 			}
 			base = sel.X
 		} else {
 			if ref.Param >= len(call.Args) {
-				return wgKey{}, false
+				return chainRef{}, false
 			}
 			base = call.Args[ref.Param]
 		}
-		root, path, ok := w.objChain(base)
+		key, ok := chainOf(w.pass.Info, base)
 		if !ok {
-			return wgKey{}, false
+			return chainRef{}, false
 		}
-		full := path
 		if ref.Path != "" {
-			if full != "" {
-				full += "."
-			}
-			full += ref.Path
+			key.path = joinField(key.path, ref.Path)
 		}
-		return wgKey{root: root, path: full}, true
+		return key, true
 	}
 	emit := func(refs []WGRef, kind string) {
 		for _, ref := range refs {
 			if key, ok := resolve(ref); ok {
 				w.records = append(w.records, wgRecord{
-					kind: kind, key: key, pos: call.Pos(), loop: ctx.loop,
-					inGo: spawned || ctx.goLit != nil, goLit: ctx.goLit,
+					kind: kind, key: key, pos: call.Pos(), loop: len(ow.loops),
+					inGo: spawned || ow.spawn != nil, goLit: ow.spawn,
 					deferred: true, delegated: true,
 				})
 			}
@@ -375,89 +209,43 @@ func (w *dwWalker) applyFact(call *ast.CallExpr, fact *WaitGroupEffectFact, ctx 
 
 // wgMethodCall matches a call to Add/Done/Wait on a sync.WaitGroup
 // value and resolves which WaitGroup it targets.
-func (w *dwWalker) wgMethodCall(call *ast.CallExpr) (wgKey, string, bool) {
+func (w *dwWalker) wgMethodCall(call *ast.CallExpr) (chainRef, string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return wgKey{}, "", false
+		return chainRef{}, "", false
 	}
 	switch sel.Sel.Name {
 	case "Add", "Done", "Wait":
 	default:
-		return wgKey{}, "", false
+		return chainRef{}, "", false
 	}
 	tv, ok := w.pass.Info.Types[sel.X]
-	if !ok || tv.Type == nil || !isWaitGroup(tv.Type) {
-		return wgKey{}, "", false
+	if !ok || tv.Type == nil || !isSyncNamed(tv.Type, "WaitGroup") {
+		return chainRef{}, "", false
 	}
-	root, path, ok := w.objChain(sel.X)
+	key, ok := chainOf(w.pass.Info, sel.X)
 	if !ok {
-		return wgKey{}, "", false
+		return chainRef{}, "", false
 	}
-	return wgKey{root: root, path: path}, sel.Sel.Name, true
-}
-
-func isWaitGroup(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && pkg.Path() == "sync" && named.Obj().Name() == "WaitGroup"
-}
-
-// objChain resolves an expression like p.pipe.workers to its root
-// object and dotted field path.
-func (w *dwWalker) objChain(e ast.Expr) (types.Object, string, bool) {
-	var parts []string
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := w.pass.Info.Uses[v]
-			if obj == nil {
-				obj = w.pass.Info.Defs[v]
-			}
-			if obj == nil {
-				return nil, "", false
-			}
-			if _, isPkg := obj.(*types.PkgName); isPkg {
-				return nil, "", false
-			}
-			return obj, strings.Join(parts, "."), true
-		case *ast.SelectorExpr:
-			parts = append([]string{v.Sel.Name}, parts...)
-			e = v.X
-		case *ast.UnaryExpr:
-			if v.Op != token.AND {
-				return nil, "", false
-			}
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil, "", false
-		}
-	}
+	return key, sel.Sel.Name, true
 }
 
 // noteEscape marks a WaitGroup whose address leaves through an
 // unsummarized call or a composite value — its bookkeeping can no
 // longer be accounted locally, so checks for it are skipped.
 func (w *dwWalker) noteEscape(a ast.Expr) {
-	root, path, ok := w.objChain(a)
-	if !ok || root == nil {
+	key, ok := chainOf(w.pass.Info, a)
+	if !ok {
 		return
 	}
-	t := root.Type()
+	t := key.root.Type()
 	if tv, ok := w.pass.Info.Types[ast.Unparen(a)]; ok && tv.Type != nil {
 		t = tv.Type
 	}
-	if !isWaitGroup(t) {
+	if !isSyncNamed(t, "WaitGroup") {
 		return
 	}
-	w.escaped[wgKey{root: root, path: path}] = true
+	w.escaped[key] = true
 }
 
 // exportFact publishes the parameter-reachable effects, reporting
@@ -503,8 +291,8 @@ func (w *dwWalker) exportFact(fn *types.Func) bool {
 
 // check applies the four imbalance rules to the collected records.
 func (w *dwWalker) check() {
-	byKey := map[wgKey][]wgRecord{}
-	var keys []wgKey
+	byKey := map[chainRef][]wgRecord{}
+	var keys []chainRef
 	for _, r := range w.records {
 		if _, ok := byKey[r.key]; !ok {
 			keys = append(keys, r.key)

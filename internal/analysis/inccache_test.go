@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/analysis"
@@ -207,7 +208,7 @@ func uses() int {
 		var stale []string
 		for _, d := range res.Diagnostics {
 			if d.Analyzer == "waivercheck" {
-				stale = append(stale, filepath.Base(d.File)+":"+itoa(d.Line))
+				stale = append(stale, filepath.Base(d.File)+":"+strconv.Itoa(d.Line))
 			} else {
 				t.Errorf("%s: unexpected finding %v", label, d)
 			}
@@ -222,16 +223,4 @@ func uses() int {
 		t.Fatalf("warm run re-analyzed %v", warm.Stats.LiveDirs)
 	}
 	check(warm, "warm")
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -78,8 +79,7 @@ func init() {
 type heldLock struct {
 	class        string
 	read         bool
-	root         types.Object
-	path         string
+	ref          chainRef
 	deferRelease bool
 }
 
@@ -151,9 +151,9 @@ func sortLockEdges(s []LockEdge) {
 	})
 }
 
-// loWalker walks one function body in statement order, maintaining
-// the held-lock stack. In the report pass it emits diagnostics; in
-// fact passes it only fills the summary.
+// loWalker holds one function walk's lock state for the ordered walk:
+// the held-lock stack, restored after each branch. In the report pass
+// it emits diagnostics; in fact passes it only fills the summary.
 type loWalker struct {
 	pass   *Pass
 	sum    *loSummary
@@ -163,8 +163,9 @@ type loWalker struct {
 	// goroutine; function literals that may run elsewhere (goroutines,
 	// worker pools) contribute acquires and edges but not Blocks.
 	sync bool
-	// body is the block being walked at top level, consulted by the
-	// local fork-join and local join-receive exemptions.
+	// body is the function or literal body whose order domain is
+	// being walked, consulted by the local fork-join and local
+	// join-receive exemptions.
 	body *ast.BlockStmt
 }
 
@@ -175,7 +176,7 @@ func runLockOrder(pass *Pass) error {
 	// caller blocks) converge.
 	summarize(targets, func(t declTarget) bool {
 		w := &loWalker{pass: pass, sum: newLoSummary(), sync: true, body: t.decl.Body}
-		w.walkBody(t.decl.Body)
+		walkOrdered(pass.Info, t.decl.Body, w)
 		w.finishBody()
 		fact, present := w.sum.fact()
 		if !present {
@@ -187,7 +188,7 @@ func runLockOrder(pass *Pass) error {
 	// Report pass: walk once more with diagnostics enabled.
 	for _, t := range targets {
 		w := &loWalker{pass: pass, sum: newLoSummary(), sync: true, report: true, body: t.decl.Body}
-		w.walkBody(t.decl.Body)
+		walkOrdered(pass.Info, t.decl.Body, w)
 	}
 	return nil
 }
@@ -203,199 +204,77 @@ func (w *loWalker) finishBody() {
 	}
 }
 
-func (w *loWalker) walkBody(body *ast.BlockStmt) {
-	for _, s := range body.List {
-		w.walkStmt(s)
-	}
-}
+// lits walks a literal that is not called on the spot in its own
+// order domain: it may run on another goroutine (go statements, worker
+// pools, callbacks) or at return (defer), so it starts with an empty
+// held set and adds no Blocks to the caller.
+func (w *loWalker) lits() litMode { return litFresh }
 
-// snapshot walks a branch with a copy of the held stack, so lock
+// branch walks a branch with a copy of the held stack, so lock
 // operations inside one branch do not leak into siblings or the code
 // after the construct. An early-return branch that unlocks before
 // returning therefore leaves the fall-through path's held set intact.
-func (w *loWalker) snapshot(walk func()) {
-	saved := make([]heldLock, len(w.held))
-	copy(saved, w.held)
-	walk()
-	w.held = saved
+func (w *loWalker) branch() func() {
+	saved := slices.Clone(w.held)
+	return func() { w.held = saved }
 }
 
-func (w *loWalker) walkStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkBody(s)
-	case *ast.ExprStmt:
-		w.walkExpr(s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e)
-		}
-		for _, e := range s.Lhs {
-			w.walkExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.walkExpr(e)
-					}
-				}
-			}
+func (w *loWalker) fresh(lit *ast.FuncLit) func() {
+	held, sync, body := w.held, w.sync, w.body
+	w.held, w.sync, w.body = nil, false, lit.Body
+	return func() { w.held, w.sync, w.body = held, sync, body }
+}
+
+func (w *loWalker) visit(_ *orderWalk, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		w.handleCall(n)
+	case *ast.UnaryExpr:
+		if !localJoinReceive(w.pass.Info, w.body, n.X) {
+			w.block(n.Pos(), "channel receive")
 		}
 	case *ast.SendStmt:
-		w.walkExpr(s.Value)
-		w.block(s.Pos(), "channel send")
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e)
-		}
-		w.finishBody()
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkExpr(s.Cond)
-		w.snapshot(func() { w.walkBody(s.Body) })
-		if s.Else != nil {
-			w.snapshot(func() { w.walkStmt(s.Else) })
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.walkExpr(s.Cond)
-		}
-		w.snapshot(func() {
-			w.walkBody(s.Body)
-			if s.Post != nil {
-				w.walkStmt(s.Post)
-			}
-		})
+		w.block(n.Pos(), "channel send")
 	case *ast.RangeStmt:
-		w.walkExpr(s.X)
-		if tv, ok := w.pass.Info.Types[s.X]; ok && isChanType(tv.Type) {
-			w.block(s.Pos(), "range over channel")
-		}
-		w.snapshot(func() { w.walkBody(s.Body) })
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.walkExpr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
+		w.block(n.Pos(), "range over channel")
 	case *ast.SelectStmt:
-		if !selectHasDefault(s) {
-			w.block(s.Pos(), "select without default")
+		if !selectHasDefault(n) {
+			w.block(n.Pos(), "select without default")
 		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
-	case *ast.GoStmt:
-		// The spawned body runs with its own (empty) held set; locks
-		// the spawner holds are not held inside the goroutine. Walk it
-		// for acquires/edges and for lock misuse local to the
-		// goroutine, but its blocking ops do not block the caller.
-		w.walkAsync(s.Call)
+	case *ast.ReturnStmt:
+		w.finishBody()
 	case *ast.DeferStmt:
-		w.walkDefer(s.Call)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
+		ast.Inspect(n.Call, func(m ast.Node) bool {
+			if c, ok := m.(*ast.CallExpr); ok {
+				w.markDeferRelease(c)
+			}
+			return true
+		})
 	}
 }
 
-// walkAsync walks a call whose function may run on another goroutine
-// (go statements, literals handed to worker pools): a fresh held
-// stack, and no Blocks contribution to the enclosing function.
-func (w *loWalker) walkAsync(call *ast.CallExpr) {
-	for _, arg := range call.Args {
-		w.walkExpr(arg)
+// markDeferRelease registers a deferred unlock (defer mu.Unlock(), or
+// an unlock inside a deferred literal) against the held stack: the
+// newest held lock that call unlocks stays held for the rest of the
+// body but is released on every return path.
+func (w *loWalker) markDeferRelease(call *ast.CallExpr) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock") {
+		return
 	}
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		inner := &loWalker{pass: w.pass, sum: w.sum, report: w.report, sync: false, body: lit.Body}
-		inner.walkBody(lit.Body)
-	} else {
-		w.walkExpr(call.Fun)
+	if fn, ok := w.pass.Info.Uses[sel.Sel].(*types.Func); !ok || !isMutexMethod(fn) {
+		return
 	}
-}
-
-// walkDefer registers deferred unlocks against the held stack (the
-// lock stays held for the rest of the body but is released on every
-// return path) and otherwise treats the deferred call as async.
-func (w *loWalker) walkDefer(call *ast.CallExpr) {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isUnlockName(sel.Sel.Name) {
-		if w.markDeferRelease(sel) {
+	ref, ok := chainOf(w.pass.Info, sel.X)
+	if !ok {
+		return
+	}
+	for i := len(w.held) - 1; i >= 0; i-- {
+		if w.held[i].ref == ref {
+			w.held[i].deferRelease = true
 			return
 		}
 	}
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		// defer func() { ... mu.Unlock() ... }(): scan for unlocks of
-		// held locks and mark them released-at-exit.
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			c, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if s, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok && isUnlockName(s.Sel.Name) {
-				w.markDeferRelease(s)
-			}
-			return true
-		})
-	}
-	w.walkAsync(call)
-}
-
-func isUnlockName(name string) bool { return name == "Unlock" || name == "RUnlock" }
-
-// markDeferRelease flags the newest matching held lock as released on
-// return. Returns true when the selector named a mutex unlock.
-func (w *loWalker) markDeferRelease(sel *ast.SelectorExpr) bool {
-	if fn, ok := w.pass.Info.Uses[sel.Sel].(*types.Func); !ok || !isMutexMethod(fn) {
-		return false
-	}
-	root, path, ok := chainOf(w.pass.Info, sel.X)
-	if !ok {
-		return true
-	}
-	for i := len(w.held) - 1; i >= 0; i-- {
-		if w.held[i].root == root && w.held[i].path == path {
-			w.held[i].deferRelease = true
-			return true
-		}
-	}
-	return true
 }
 
 func isMutexMethod(fn *types.Func) bool {
@@ -403,76 +282,9 @@ func isMutexMethod(fn *types.Func) bool {
 	return ok && sig.Recv() != nil && isMutexType(sig.Recv().Type())
 }
 
-// walkExpr scans an expression in evaluation order for lock calls,
-// function calls, receives, and nested literals.
-func (w *loWalker) walkExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		for _, arg := range e.Args {
-			w.walkExpr(arg)
-		}
-		w.handleCall(e)
-	case *ast.UnaryExpr:
-		if e.Op == token.ARROW {
-			w.walkExpr(e.X)
-			w.receive(e)
-			return
-		}
-		w.walkExpr(e.X)
-	case *ast.BinaryExpr:
-		w.walkExpr(e.X)
-		w.walkExpr(e.Y)
-	case *ast.ParenExpr:
-		w.walkExpr(e.X)
-	case *ast.StarExpr:
-		w.walkExpr(e.X)
-	case *ast.SelectorExpr:
-		w.walkExpr(e.X)
-	case *ast.IndexExpr:
-		w.walkExpr(e.X)
-		w.walkExpr(e.Index)
-	case *ast.SliceExpr:
-		w.walkExpr(e.X)
-		w.walkExpr(e.Low)
-		w.walkExpr(e.High)
-		w.walkExpr(e.Max)
-	case *ast.CompositeLit:
-		for _, elt := range e.Elts {
-			w.walkExpr(elt)
-		}
-	case *ast.KeyValueExpr:
-		w.walkExpr(e.Value)
-	case *ast.TypeAssertExpr:
-		w.walkExpr(e.X)
-	case *ast.FuncLit:
-		// A literal not directly invoked may run on any goroutine
-		// (worker pools, callbacks): fresh held set, no caller blocks.
-		inner := &loWalker{pass: w.pass, sum: w.sum, report: w.report, sync: false, body: e.Body}
-		inner.walkBody(e.Body)
-	}
-}
-
-// receive handles a blocking channel receive expression.
-func (w *loWalker) receive(e *ast.UnaryExpr) {
-	if root, path, ok := chainOf(w.pass.Info, e.X); ok && w.body != nil &&
-		localJoinReceive(w.pass.Info, w.body, root, path) {
-		return
-	}
-	w.block(e.Pos(), "channel receive")
-}
-
 // handleCall processes one call: mutex Lock/Unlock, blocking
 // classification, and callee summary merging.
 func (w *loWalker) handleCall(call *ast.CallExpr) {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		// Immediately-invoked literal runs synchronously: walk with
-		// the current held set.
-		w.walkBody(lit.Body)
-		return
-	}
 	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	fn := calleeFunc(w.pass.Info, call)
 	if selOK && fn != nil && isMutexMethod(fn) {
@@ -486,17 +298,9 @@ func (w *loWalker) handleCall(call *ast.CallExpr) {
 	}
 
 	// Blocking classification for non-mutex calls.
-	if what, ok := blockingCall(w.pass.Info, call); ok {
-		exempt := false
-		if what == "sync.WaitGroup.Wait" && selOK {
-			if root, path, ok := chainOf(w.pass.Info, sel.X); ok && w.body != nil &&
-				localForkJoinWait(w.pass.Info, w.body, root, path) {
-				exempt = true
-			}
-		}
-		if !exempt {
-			w.block(call.Pos(), what)
-		}
+	if what, ok := blockingCall(w.pass.Info, call); ok &&
+		!(what == "sync.WaitGroup.Wait" && localForkJoinWait(w.pass.Info, w.body, call)) {
+		w.block(call.Pos(), what)
 	}
 
 	// Merge the callee's summary.
@@ -568,12 +372,12 @@ func acquireKey(a LockAcquire) string {
 // acquisition of the same instance.
 func (w *loWalker) acquire(sel *ast.SelectorExpr, read bool, pos token.Pos) {
 	class := lockClass(w.pass.Info, w.pass.Pkg, sel.X)
-	root, path, chainKnown := chainOf(w.pass.Info, sel.X)
+	ref, chainKnown := chainOf(w.pass.Info, sel.X)
 	p := w.pass.Fset.Position(pos)
 
 	if w.report && chainKnown {
 		for _, h := range w.held {
-			if h.root == root && h.path == path && !(h.read && read) {
+			if h.ref == ref && !(h.read && read) {
 				w.pass.Reportf(pos, "recursive acquisition of %s: the mutex is already held here, so this %s blocks forever",
 					lockDisplay(class, sel), lockVerb(read))
 			}
@@ -588,7 +392,7 @@ func (w *loWalker) acquire(sel *ast.SelectorExpr, read bool, pos token.Pos) {
 			}
 		}
 	}
-	w.held = append(w.held, heldLock{class: class, read: read, root: root, path: path})
+	w.held = append(w.held, heldLock{class: class, read: read, ref: ref})
 }
 
 func lockVerb(read bool) string {
@@ -611,12 +415,12 @@ func lockDisplay(class string, sel *ast.SelectorExpr) string {
 // release pops the newest matching held lock: by instance identity
 // when the chain resolves, else by class.
 func (w *loWalker) release(sel *ast.SelectorExpr) {
-	root, path, chainKnown := chainOf(w.pass.Info, sel.X)
+	ref, chainKnown := chainOf(w.pass.Info, sel.X)
 	class := lockClass(w.pass.Info, w.pass.Pkg, sel.X)
 	for i := len(w.held) - 1; i >= 0; i-- {
 		h := w.held[i]
-		match := (chainKnown && h.root == root && h.path == path) ||
-			(h.root == nil && h.class != "" && h.class == class)
+		match := (chainKnown && h.ref == ref) ||
+			(h.ref.root == nil && h.class != "" && h.class == class)
 		if match {
 			w.held = append(w.held[:i], w.held[i+1:]...)
 			return
