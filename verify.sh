@@ -70,9 +70,6 @@ go test -count=3 -shuffle=on ./...
 echo "== stream and range close/leak regressions (race, 5 runs) =="
 go test -race -run 'TestChunkReaderCloseRacesMidStreamError|TestPipelinedReader(CloseWithoutDrain|MidStreamErrorWinsInOrder|TruncatedInput)|TestPipelinedWriter(SinkErrorCancelsAndJoins|CloseIsTheOnlyJoinNeeded)|TestPipelineDefaultsAndSequentialFallback|TestRangeReader(CloseWithInflightLoads|Hammer)' -count=5 ./internal/core
 
-echo "== analyzer fixtures under race =="
-go test -race ./internal/analysis ./cmd/arcvet
-
 echo "== race-built arcvet over its own sources =="
 # A race-built binary sweeping the analysis packages keeps the door
 # open to a concurrent driver: any data race an analyzer grows is
