@@ -85,9 +85,10 @@ func unlockBeforeWait(ch chan int) int {
 // lockOrderChainedSrc blocks under a held mutex through the receiver
 // of a call: recvA(ch).get() and (<-ch).get(), next to the unchained
 // recvB control. A callee's blocking op is reported at its own site,
-// so recvA's and recvB's receives carry the markers. The file stays
-// out of the facts golden: its callers' summaries gained those blocks
-// when the walk began to walk call receivers.
+// so recvA's and recvB's receives carry the markers. The facts golden
+// leaves this file out: its callers' summaries hold exactly the blocks
+// that walking a call's receiver adds, and the golden pins the facts
+// that do not depend on it.
 const lockOrderChainedSrc = `package lo
 
 type box struct{ v int }
