@@ -166,108 +166,6 @@ func clamp(x, n int) int {
 	return x
 }
 
-// fwdLift applies the exactly invertible two-level S-transform to the
-// 4-vector at p[0], p[s], p[2s], p[3s]:
-//
-//	level 1: (x0,x1) -> (l0,h0), (x2,x3) -> (l1,h1)
-//	level 2: (l0,l1) -> (ll,hl)
-//	output slots: [ll, hl, h0, h1]
-func fwdLift(p []int64, s int) {
-	x0, x1, x2, x3 := p[0], p[s], p[2*s], p[3*s]
-	l0, h0 := sFwd(x0, x1)
-	l1, h1 := sFwd(x2, x3)
-	ll, hl := sFwd(l0, l1)
-	p[0], p[s], p[2*s], p[3*s] = ll, hl, h0, h1
-}
-
-// invLift inverts fwdLift.
-func invLift(p []int64, s int) {
-	ll, hl, h0, h1 := p[0], p[s], p[2*s], p[3*s]
-	l0, l1 := sInv(ll, hl)
-	x0, x1 := sInv(l0, h0)
-	x2, x3 := sInv(l1, h1)
-	p[0], p[s], p[2*s], p[3*s] = x0, x1, x2, x3
-}
-
-// sFwd is the exact integer S-transform: l = floor((a+b)/2), h = a-b.
-func sFwd(a, b int64) (l, h int64) {
-	return (a + b) >> 1, a - b
-}
-
-// sInv inverts sFwd: a = l + (h + (h&1))/2, b = a - h.
-func sInv(l, h int64) (a, b int64) {
-	a = l + ((h + (h & 1)) >> 1)
-	return a, a - h
-}
-
-// fwdXformRef is the scalar reference implementation of fwdXform,
-// lifting one strided 4-vector at a time. Retained for differential
-// tests and as the benchmark baseline of the unrolled kernels in
-// xform.go (the integer S-transform is exactly associative, so the
-// unrolled variants are bit-identical by construction — the tests pin
-// that).
-func fwdXformRef(c []int64, nd int) {
-	switch nd {
-	case 1:
-		fwdLift(c, 1)
-	case 2:
-		for y := 0; y < 4; y++ { // along x (fastest axis)
-			fwdLift(c[y*4:], 1)
-		}
-		for x := 0; x < 4; x++ { // along y
-			fwdLift(c[x:], 4)
-		}
-	default:
-		for z := 0; z < 4; z++ {
-			for y := 0; y < 4; y++ {
-				fwdLift(c[(z*4+y)*4:], 1)
-			}
-		}
-		for z := 0; z < 4; z++ {
-			for x := 0; x < 4; x++ {
-				fwdLift(c[z*16+x:], 4)
-			}
-		}
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				fwdLift(c[y*4+x:], 16)
-			}
-		}
-	}
-}
-
-// invXformRef is the scalar reference implementation of invXform
-// (axes in reverse order).
-func invXformRef(c []int64, nd int) {
-	switch nd {
-	case 1:
-		invLift(c, 1)
-	case 2:
-		for x := 0; x < 4; x++ {
-			invLift(c[x:], 4)
-		}
-		for y := 0; y < 4; y++ {
-			invLift(c[y*4:], 1)
-		}
-	default:
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				invLift(c[y*4+x:], 16)
-			}
-		}
-		for z := 0; z < 4; z++ {
-			for x := 0; x < 4; x++ {
-				invLift(c[z*16+x:], 4)
-			}
-		}
-		for z := 0; z < 4; z++ {
-			for y := 0; y < 4; y++ {
-				invLift(c[(z*4+y)*4:], 1)
-			}
-		}
-	}
-}
-
 // negabinary mask for signed<->unsigned mapping (ZFP's int2uint).
 const nbMask = 0xaaaaaaaaaaaaaaaa
 

@@ -138,66 +138,9 @@ func encodeBlock(w *bitio.Writer, s *blockScratch, bl *blocker, opts Options) {
 		encodePlanes(w, u, size, kmin, budget-1-expBits)
 	}
 	if rateMode {
-		// Pad to the exact fixed size.
-		for w.Len()-start < budget {
-			w.WriteBit(0)
-		}
-	}
-}
-
-// encodePlanes implements ZFP's embedded group-testing coder: for each
-// bit plane from MSB down, the first n bits (coefficients already
-// significant) are written verbatim and the remainder is unary
-// run-length coded. n grows monotonically as coefficients become
-// significant.
-func encodePlanes(w *bitio.Writer, u []uint64, size, kmin, bits int) {
-	n := 0
-	for k := intPrec - 1; k >= kmin && bits > 0; k-- {
-		// Gather plane k: bit i of x = bit k of coefficient i.
-		var x uint64
-		for i := 0; i < size; i++ {
-			x |= (u[i] >> uint(k) & 1) << uint(i)
-		}
-		// Step 2: first n bits verbatim (LSB of x first).
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		for i := 0; i < m; i++ {
-			w.WriteBit(uint(x))
-			x >>= 1
-		}
-		// Step 3: unary run-length encode the remainder. Bit 0 of x is
-		// position n. Each outer iteration emits a group-test bit
-		// ("any 1s left in this plane?"); a positive test is followed
-		// by the run of bits up to and including the next 1 — except
-		// that a 1 in the final position is implied, not written.
-		for n < size && bits > 0 {
-			bits--
-			if x == 0 {
-				w.WriteBit(0)
-				break
-			}
-			w.WriteBit(1)
-			hit := false
-			for n < size-1 && bits > 0 {
-				bits--
-				b := uint(x & 1)
-				w.WriteBit(b)
-				if b == 1 {
-					hit = true
-					break
-				}
-				x >>= 1
-				n++
-			}
-			// Consume the position that held (or implies) the 1. When
-			// bits ran out mid-run with positions left, this consumes
-			// one position silently; the decoder mirrors that.
-			_ = hit
-			x >>= 1
-			n++
+		// Pad to the exact fixed size, a word at a time.
+		for pad := budget - (w.Len() - start); pad > 0; pad -= 64 {
+			w.WriteBits(0, min(pad, 64))
 		}
 	}
 }
@@ -259,71 +202,6 @@ func decodeBlock(r *bitio.Reader, s *blockScratch, bl *blocker, opts Options) er
 		}
 		if err := r.Skip(budget - consumed); err != nil {
 			return fmt.Errorf("%w: truncated block padding", ErrCorrupt)
-		}
-	}
-	return nil
-}
-
-// decodePlanes mirrors encodePlanes exactly. maxPlanes > 0 stops the
-// consumption early (progressive decode); the caller skips the block's
-// remaining budget, which is only sound for fixed-rate blocks.
-func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, bits, maxPlanes int) error {
-	n := 0
-	for k := intPrec - 1; k >= kmin && bits > 0; k-- {
-		if maxPlanes > 0 && intPrec-k > maxPlanes {
-			break
-		}
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		var x uint64
-		for i := 0; i < m; i++ {
-			b, err := r.ReadBit()
-			if err != nil {
-				return fmt.Errorf("%w: truncated plane", ErrCorrupt)
-			}
-			x |= uint64(b) << uint(i)
-		}
-		for n < size && bits > 0 {
-			bits--
-			g, err := r.ReadBit()
-			if err != nil {
-				return fmt.Errorf("%w: truncated group bit", ErrCorrupt)
-			}
-			if g == 0 {
-				break
-			}
-			hit := false
-			for n < size-1 && bits > 0 {
-				bits--
-				b, err := r.ReadBit()
-				if err != nil {
-					return fmt.Errorf("%w: truncated run", ErrCorrupt)
-				}
-				if b == 1 {
-					hit = true
-					break
-				}
-				n++
-			}
-			switch {
-			case hit:
-				// Explicit 1 at position n.
-				x |= 1 << uint(n)
-			case n == size-1:
-				// The group test guaranteed a 1 remains and only the
-				// final position is left: the 1 is implied.
-				x |= 1 << uint(n)
-			default:
-				// Bits exhausted mid-run: the encoder consumed this
-				// position without confirming it; leave it zero.
-			}
-			n++
-		}
-		for i := 0; x != 0; i, x = i+1, x>>1 {
-			u[i] |= (x & 1) << uint(k)
 		}
 	}
 	return nil
