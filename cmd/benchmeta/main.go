@@ -146,11 +146,12 @@ const (
 	secdedSpeedupMin = 3.0
 	gf256SpeedupMin  = 2.0
 
-	// Vectorized codec kernels: the batched SZ quantizer and the
-	// unrolled ZFP lifting transform, each against its retained scalar
-	// reference.
+	// Vectorized codec kernels: the batched SZ quantizer, the
+	// unrolled ZFP lifting transform and the word-level ZFP bit-plane
+	// coder, each against its retained scalar reference.
 	szQuantizeSpeedupMin = 2.0
 	zfpLiftSpeedupMin    = 2.0
+	zfpPlanesSpeedupMin  = 2.0
 
 	// avx2VsSSSE3Min gates the 32-byte GF(256) kernel against the
 	// 16-byte one on hosts whose dispatcher reports AVX2: twice the
@@ -251,6 +252,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		"GF256MulSlice_min":  gf256SpeedupMin,
 		"SZQuantize_min":     szQuantizeSpeedupMin,
 		"ZFPLift_min":        zfpLiftSpeedupMin,
+		"ZFPPlanes_min":      zfpPlanesSpeedupMin,
 	}
 	hostHasAVX2 := slices.Contains(gf256.Features(), "avx2")
 	if hostHasAVX2 {
@@ -275,6 +277,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		{"GF256MulSlice", gf256SpeedupMin},
 		{"SZQuantize", szQuantizeSpeedupMin},
 		{"ZFPLift", zfpLiftSpeedupMin},
+		{"ZFPPlanes", zfpPlanesSpeedupMin},
 	}
 	if hostHasAVX2 {
 		floors = append(floors, struct {

@@ -39,6 +39,8 @@ BenchmarkKernelSZQuantize/word-1       	2000	  50 ns/op	 650.00 MB/s	0 B/op	3 al
 BenchmarkKernelSZQuantize/scalar-1     	 600	 163 ns/op	 200.00 MB/s	0 B/op	3 allocs/op
 BenchmarkKernelZFPLift/word-1          	3000	  40 ns/op	 840.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelZFPLift/scalar-1        	1000	 112 ns/op	 300.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelZFPPlanes/word-1        	2000	 500 ns/op	 240.00 MB/s	63000 B/op	18 allocs/op
+BenchmarkKernelZFPPlanes/scalar-1      	 500	2000 ns/op	  64.00 MB/s	63000 B/op	18 allocs/op
 BenchmarkKernelBitReader/word-1        	1000	 100 ns/op	 900.00 MB/s	0 B/op	0 allocs/op
 PASS
 `
@@ -157,6 +159,12 @@ func TestKernelsArtifactAndGate(t *testing.T) {
 	if got := art.Speedups["ZFPLift"]; got != 2.8 {
 		t.Errorf("ZFPLift speedup = %v, want 2.8", got)
 	}
+	if got := art.Speedups["ZFPPlanes"]; got != 3.75 {
+		t.Errorf("ZFPPlanes speedup = %v, want 3.75", got)
+	}
+	if got := art.Targets["ZFPPlanes_min"]; got != 2 {
+		t.Errorf("ZFPPlanes_min target = %v, want 2", got)
+	}
 	if got := art.Speedups["GF256MulSliceAVX2VsSSSE3"]; got != 2.0 {
 		t.Errorf("GF256MulSliceAVX2VsSSSE3 = %v, want 2.0", got)
 	}
@@ -177,6 +185,17 @@ func TestKernelsGateFailsBelowFloor(t *testing.T) {
 	err := runKernels(strings.NewReader(slow), &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), "kernel gate FAILED") {
 		t.Fatalf("err = %v, want kernel gate failure", err)
+	}
+}
+
+// TestKernelsGateZFPPlanesFloor holds the word-level plane coder to
+// twice its bit-serial reference.
+func TestKernelsGateZFPPlanesFloor(t *testing.T) {
+	slow := strings.Replace(kernelsSample, " 240.00 MB/s", " 120.00 MB/s", 1)
+	var out, errw bytes.Buffer
+	err := runKernels(strings.NewReader(slow), &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "ZFPPlanes 1.88x (need 2x)") {
+		t.Fatalf("err = %v, want ZFPPlanes floor failure", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitio"
 )
 
 // xformTestBlocks yields random coefficient blocks spanning the full
@@ -129,4 +131,50 @@ func BenchmarkKernelZFPLift(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkKernelZFPPlanes times the plane coder on the blocks of a
+// smooth 3D field at rate 8 (the fixed-rate budget of one 4×4×4
+// block): one encode and one decode of every block per op, word-level
+// coder against the bit-serial reference.
+func BenchmarkKernelZFPPlanes(b *testing.B) {
+	const nblocks = 256
+	data := goldenFieldZFP([]int{16, 16, 64}, 9, 0)
+	bl := newBlocker([]int{16, 16, 64})
+	s := getBlockScratch(64)
+	var blocks [][]uint64
+	for i := 0; i < nblocks; i++ {
+		bl.gather(data, i, s.vals)
+		emax, _ := blockExp(s.vals)
+		scale := math.Ldexp(1, fixedPointBits-emax)
+		for j, v := range s.vals {
+			s.coeffs[j] = int64(v * scale)
+		}
+		fwdXform(s.coeffs, 3)
+		u := make([]uint64, 64)
+		int2uintBlock(u, s.coeffs, bl.perm)
+		blocks = append(blocks, u)
+	}
+	budget := blockBits(8, 64) - 1 - expBits
+	run := func(b *testing.B, enc func(*bitio.Writer, []uint64, int, int, int), dec func(*bitio.Reader, []uint64, int, int, int, int) error) {
+		var w bitio.Writer
+		u := make([]uint64, 64)
+		b.SetBytes(nblocks * 64 * 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w = bitio.Writer{}
+			for _, blk := range blocks {
+				enc(&w, blk, 64, 0, budget)
+			}
+			r := bitio.NewReader(w.Bytes())
+			for range blocks {
+				clear(u)
+				if err := dec(r, u, 64, 0, budget, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("word", func(b *testing.B) { run(b, encodePlanes, decodePlanes) })
+	b.Run("scalar", func(b *testing.B) { run(b, encodePlanesRef, decodePlanesRef) })
 }

@@ -88,7 +88,8 @@ echo "wrote BENCH_stream.json"
 
 echo "== kernel bench (recorded to BENCH_kernels.json) =="
 # The kernel pairs live in the root package plus the codec packages
-# that grew vectorized paths (core voting, SZ quantize, ZFP lift).
+# that grew vectorized paths (core voting, SZ quantize, ZFP lift and
+# bit-plane coder).
 go test -run '^$' -bench 'BenchmarkKernel' -benchtime=1s -benchmem -count=1 \
     . ./internal/core ./internal/sz ./internal/zfp | tee /tmp/arc_bench_kernels.txt
 # benchmeta enforces the word/scalar speedup floors plus the
@@ -153,6 +154,12 @@ echo "== fuzz smoke (10s per target) =="
 for target in FuzzContainerDecode FuzzSZDecompress FuzzSZDecodeCorruptHeader FuzzZFPDecompress FuzzZFPDecodeCorruptHeader FuzzHuffmanTable FuzzStreamReader FuzzStreamReaderPipelined FuzzIndexDecode FuzzBitIORoundTrip; do
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s .
 done
+
+echo "== ZFP plane coder differential fuzz smoke (10s) =="
+# The word-level bit-plane coder against its bit-serial reference:
+# equal bytes on encode; equal coefficients, bit position and error on
+# decode of real, truncated, bit-flipped and arbitrary buffers.
+go test -run '^$' -fuzz '^FuzzZFPPlanes$' -fuzztime 10s ./internal/zfp
 
 echo "== service frame fuzz smoke (10s) =="
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/service
