@@ -52,13 +52,11 @@ func fieldDigest(vals []float64, err error) string {
 	if err != nil {
 		return "err: " + err.Error()
 	}
-	h := sha256.New()
-	var b [8]byte
+	b := make([]byte, 0, 8*len(vals))
 	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
+	return bytesDigest(b)
 }
 
 func bytesDigest(b []byte) string {

@@ -70,10 +70,8 @@ func planesBlock(rng *rand.Rand, size int) []uint64 {
 func checkPlanesEncode(t *testing.T, c planesCase) []byte {
 	t.Helper()
 	var w, wr bitio.Writer
-	for i := 0; i < c.prefix; i++ {
-		w.WriteBit(uint(i & 1))
-		wr.WriteBit(uint(i & 1))
-	}
+	w.WriteBits(0xa5a5, c.prefix)
+	wr.WriteBits(0xa5a5, c.prefix)
 	encodePlanes(&w, c.u, c.size, c.kmin, c.budget)
 	encodePlanesRef(&wr, c.u, c.size, c.kmin, c.budget)
 	if w.Len() != wr.Len() {
