@@ -80,6 +80,23 @@ func unlockBeforeWait(ch chan int) int {
 	muA.Unlock()
 	return <-ch
 }
+
+func spawn(wg *sync.WaitGroup, stop bool) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		muA.Lock()
+		if stop {
+			return
+		}
+		muA.Unlock()
+	}()
+}
+
+func caller(wg *sync.WaitGroup, ch chan int) int {
+	spawn(wg, false)
+	return <-ch
+}
 `}
 
 // lockOrderChainedSrc blocks under a held mutex through the receiver

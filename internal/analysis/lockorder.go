@@ -225,7 +225,7 @@ func (w *loWalker) fresh(lit *ast.FuncLit) func() {
 	return func() { w.held, w.sync, w.body = held, sync, body }
 }
 
-func (w *loWalker) visit(_ *orderWalk, n ast.Node) {
+func (w *loWalker) visit(ow *orderWalk, n ast.Node) {
 	switch n := n.(type) {
 	case *ast.CallExpr:
 		w.handleCall(n)
@@ -242,7 +242,13 @@ func (w *loWalker) visit(_ *orderWalk, n ast.Node) {
 			w.block(n.Pos(), "select without default")
 		}
 	case *ast.ReturnStmt:
-		w.finishBody()
+		// Only the declaration's own returns are its exits: a return
+		// in a literal leaves the literal, which may run on another
+		// goroutine, so what it holds is not held by this function's
+		// callers.
+		if ow.inLit == nil {
+			w.finishBody()
+		}
 	case *ast.DeferStmt:
 		ast.Inspect(n.Call, func(m ast.Node) bool {
 			if c, ok := m.(*ast.CallExpr); ok {

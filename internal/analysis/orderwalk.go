@@ -76,8 +76,11 @@ type orderWalk struct {
 	// loops holds the enclosing for and range statements, innermost
 	// last.
 	loops []ast.Stmt
-	// spawn is the go statement's literal whose body is being walked
-	// (nil outside one); deferred is set inside a deferred literal.
+	// inLit is the innermost literal whose body is being walked (nil in
+	// the declaration's own body); spawn is the go statement's literal
+	// whose body is being walked (nil outside one); deferred is set
+	// inside a deferred literal.
+	inLit    *ast.FuncLit
 	spawn    *ast.FuncLit
 	deferred bool
 }
@@ -224,7 +227,8 @@ func (w *orderWalk) lit(lit *ast.FuncLit, kind litKind) {
 	if mode == litSkip {
 		return
 	}
-	loops, spawn, deferred := w.loops, w.spawn, w.deferred
+	loops, inLit, spawn, deferred := w.loops, w.inLit, w.spawn, w.deferred
+	w.inLit = lit
 	switch kind {
 	case litGo:
 		w.spawn, w.deferred = lit, false
@@ -236,7 +240,7 @@ func (w *orderWalk) lit(lit *ast.FuncLit, kind litKind) {
 		defer w.rules.fresh(lit)()
 	}
 	w.stmts(lit.Body.List)
-	w.loops, w.spawn, w.deferred = loops, spawn, deferred
+	w.loops, w.inLit, w.spawn, w.deferred = loops, inLit, spawn, deferred
 }
 
 func (w *orderWalk) exprs(list []ast.Expr) {
