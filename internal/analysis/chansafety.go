@@ -300,6 +300,9 @@ func profileChans(pass *Pass, body *ast.BlockStmt) *chanProfile {
 				}
 			}
 		case *ast.DeferStmt:
+			if id, ok := ast.Unparen(n.Call.Fun).(*ast.Ident); ok && isBuiltin(pass.Info, id) {
+				return false // a deferred close shares nothing either
+			}
 			ast.Inspect(n.Call, func(m ast.Node) bool {
 				if e, ok := m.(ast.Expr); ok {
 					markEscape(e)
@@ -364,27 +367,45 @@ func (w *csWalker) visit(ow *orderWalk, n ast.Node) {
 		w.checkDeadSelect(n)
 	case *ast.GoStmt:
 		w.checkLoopSpawn(ow.loops, n)
+	case *ast.DeferStmt:
+		// A deferred close runs at return, after every send on the
+		// path, so it closes nothing for the send rule; the close rules
+		// apply to it as they do to a plain close.
+		if ref, ok := w.builtinClose(n.Call); ok {
+			w.checkClose(n.Call, ref)
+		}
+	}
+}
+
+// builtinClose returns the channel a call to the builtin close
+// closes.
+func (w *csWalker) builtinClose(call *ast.CallExpr) (chainRef, bool) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "close" || !isBuiltin(w.pass.Info, id) || len(call.Args) != 1 {
+		return chainRef{}, false
+	}
+	return chainOf(w.pass.Info, call.Args[0])
+}
+
+// checkClose applies the double-close and consumer-side close rules to
+// a close of ref.
+func (w *csWalker) checkClose(call *ast.CallExpr, ref chainRef) {
+	if rec, isClosed := w.closed[ref]; isClosed {
+		w.pass.Reportf(call.Pos(), "close of %s, which a reachable path already closes at %s%s: closing a closed channel panics",
+			chainDisplay(call.Args[0]), posDisplay(rec.pos), viaSuffix(rec.via))
+	}
+	if w.profile.receives[ref] > 0 && w.profile.sends[ref] == 0 && !w.profile.made[ref] {
+		w.pass.Reportf(call.Pos(), "close of %s on the consumer side: this function only receives from the channel and did not create it; close belongs to the sender",
+			chainDisplay(call.Args[0]))
 	}
 }
 
 func (w *csWalker) handleCall(call *ast.CallExpr) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && isBuiltin(w.pass.Info, id) {
-		if len(call.Args) != 1 {
-			return
+		if ref, ok := w.builtinClose(call); ok {
+			w.checkClose(call, ref)
+			w.closed[ref] = closeRec{pos: w.pass.Fset.Position(call.Pos())}
 		}
-		ref, ok := chainOf(w.pass.Info, call.Args[0])
-		if !ok {
-			return
-		}
-		if rec, isClosed := w.closed[ref]; isClosed {
-			w.pass.Reportf(call.Pos(), "close of %s, which a reachable path already closes at %s%s: closing a closed channel panics",
-				chainDisplay(call.Args[0]), posDisplay(rec.pos), viaSuffix(rec.via))
-		}
-		if w.profile.receives[ref] > 0 && w.profile.sends[ref] == 0 && !w.profile.made[ref] {
-			w.pass.Reportf(call.Pos(), "close of %s on the consumer side: this function only receives from the channel and did not create it; close belongs to the sender",
-				chainDisplay(call.Args[0]))
-		}
-		w.closed[ref] = closeRec{pos: w.pass.Fset.Position(call.Pos())}
 		return
 	}
 

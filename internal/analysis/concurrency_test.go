@@ -244,6 +244,16 @@ func bufferedSendSelect() {
 	case ch <- 1:
 	}
 }
+
+func consumerPlain(ch chan int) {
+	<-ch
+	close(ch) // want chansafety
+}
+
+func consumerDefer(ch chan int) {
+	defer close(ch) // want chansafety
+	<-ch
+}
 `}
 
 // TestChanSafety checks the findings chanSafetyFixture marks.
