@@ -301,7 +301,7 @@ func profileChans(pass *Pass, body *ast.BlockStmt) *chanProfile {
 			}
 		case *ast.DeferStmt:
 			if id, ok := ast.Unparen(n.Call.Fun).(*ast.Ident); ok && isBuiltin(pass.Info, id) {
-				return false // a deferred close shares nothing either
+				return false // a deferred builtin shares nothing, as a plain one does not
 			}
 			ast.Inspect(n.Call, func(m ast.Node) bool {
 				if e, ok := m.(ast.Expr); ok {
@@ -401,11 +401,9 @@ func (w *csWalker) checkClose(call *ast.CallExpr, ref chainRef) {
 }
 
 func (w *csWalker) handleCall(call *ast.CallExpr) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && isBuiltin(w.pass.Info, id) {
-		if ref, ok := w.builtinClose(call); ok {
-			w.checkClose(call, ref)
-			w.closed[ref] = closeRec{pos: w.pass.Fset.Position(call.Pos())}
-		}
+	if ref, ok := w.builtinClose(call); ok {
+		w.checkClose(call, ref)
+		w.closed[ref] = closeRec{pos: w.pass.Fset.Position(call.Pos())}
 		return
 	}
 
