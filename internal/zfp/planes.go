@@ -38,7 +38,8 @@ func transpose64(tr *[64]uint64, u []uint64) {
 
 // swapBlocks is one step of transpose64: in every 2j-row band it swaps
 // the j×j bit blocks above and below the diagonal, the low-mask (right)
-// half of row k with the high half of row k+j.
+// half of row k with the high half of row k+j. The indexes are masked
+// with 63 so the compiler can drop their bounds checks.
 func swapBlocks(a *[64]uint64, j int, m uint64) {
 	for b := 0; b < 64; b += 2 * j {
 		for k := b; k < b+j; k++ {
